@@ -24,6 +24,7 @@ from .harness import (
     calls_to_threshold,
     compute_reference,
     read_trace,
+    resolve_output_dir,
     run_experiment,
     slope_fit,
 )
@@ -52,8 +53,9 @@ def _load_config(path: str, args: argparse.Namespace) -> BenchConfig:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
-    meta = run_experiment(config)
-    print(f"wrote {len(meta['trace_files'])} trace(s) to {config.output_dir}")
+    out = resolve_output_dir(config)
+    meta = run_experiment(config, out)
+    print(f"wrote {len(meta['trace_files'])} trace(s) to {out}")
     return EXIT_OK
 
 

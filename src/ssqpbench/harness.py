@@ -52,6 +52,7 @@ __all__ = [
     "write_trace",
     "read_trace",
     "run_experiment",
+    "resolve_output_dir",
     "compute_reference",
     "calls_to_threshold",
     "slope_fit",
@@ -256,7 +257,8 @@ def build_schedule(config: BenchConfig, problem: ConstrainedProblem):
 # Orchestration
 
 
-def _resolve_output_dir(config: BenchConfig) -> Path:
+def resolve_output_dir(config: BenchConfig) -> Path:
+    """Directory run_experiment writes to: SSQPBENCH_OUTPUT_DIR if set, else the config's."""
     override = os.environ.get(OUTPUT_DIR_ENV)
     return Path(override) if override else Path(config.output_dir)
 
@@ -277,7 +279,7 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
     """
     problem, x0 = build_problem(config)
     schedule = build_schedule(config, problem)
-    out = Path(output_dir) if output_dir is not None else _resolve_output_dir(config)
+    out = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
 
     x_star = f_star = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -141,6 +141,7 @@ def kkt_residual(qp: CanonicalQp, sol: QpSolution, activity_tol: float = 1e-9) -
         res = np.abs(s)
         res = np.where(at_lo, np.maximum(0.0, -s), res)
         res = np.where(at_hi & ~at_lo, np.maximum(0.0, s), res)
+        res = np.where(at_lo & at_hi, 0.0, res)  # lower == upper: the normal cone is all of R
         dom = np.maximum(reg.lower - u, 0.0) + np.maximum(u - reg.upper, 0.0)
         stat_u = float(np.linalg.norm(res) + dom.max(initial=0.0))
     elif isinstance(reg, L1):
@@ -184,16 +185,10 @@ def _coordinate_pattern(qp: CanonicalQp, u: np.ndarray, tol: float) -> np.ndarra
     return pat
 
 
-def _solve_pattern_system(
-    qp: CanonicalQp,
-    active: np.ndarray,
-    v_positive: bool,
-    pattern: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve the equality KKT system for a fixed active set and coordinate pattern."""
+def _pattern_split(qp: CanonicalQp, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates the pattern pins (Box faces, L1 zeros) and the values they are pinned at."""
     reg = qp.regularizer
     d = qp.dim
-    na = len(active)
     if isinstance(reg, BoxIndicator):
         fixed = pattern != 0
         fixed_vals = np.where(pattern < 0, reg.lower * np.ones(d), reg.upper * np.ones(d))
@@ -203,45 +198,61 @@ def _solve_pattern_system(
     else:
         fixed = np.zeros(d, dtype=bool)
         fixed_vals = np.zeros(d)
+    return fixed, fixed_vals
+
+
+def _solve_pattern_system(
+    qp: CanonicalQp,
+    active: np.ndarray,
+    v_positive: bool,
+    pattern: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve the equality KKT system for a fixed active set and coordinate pattern.
+
+    The quadratic is ``rho*I``, so stationarity in the free coordinates F gives
+    ``u_F = (r_F - A_F^T mu) / rho`` with ``r = rho*w - l`` (minus
+    ``weight*pattern`` for L1).  Substituting it into the active hinges leaves
+    the Schur-complement system in the duals (range-space active-set step,
+    Nocedal & Wright ch. 16):
+
+        [A_F A_F^T / rho  1] [mu]   [A_F r_F / rho + b_act + A_X x_X]
+        [1^T              0] [v ] = [Gamma                          ]
+
+    where X are the pinned coordinates, and the last row and column exist only
+    when v > 0.  It is solved by least squares so that duplicate and zero hinge
+    rows stay well handled: in a consistent system u is unique even when mu is
+    not.
+    """
+    fixed, fixed_vals = _pattern_split(qp, pattern)
     free = ~fixed
-    nf = int(free.sum())
-    nv = 1 if v_positive else 0
-    n_unknown = nf + na + nv
-
-    M = np.zeros((n_unknown, n_unknown))
-    rhs = np.zeros(n_unknown)
-    A_act = qp.slopes[active] if na else np.empty((0, d))
-
-    # stationarity in the free coordinates
-    M[:nf, :nf] = qp.rho * np.eye(nf)
-    if na:
-        M[:nf, nf : nf + na] = A_act[:, free].T
-    rhs[:nf] = qp.rho * qp.anchor[free] - qp.linear[free]
-    if isinstance(reg, L1):
-        rhs[:nf] -= reg.weight * pattern[free]
-
-    # active hinges hold with equality: A_k u - v = -b_k
-    if na:
-        M[nf : nf + na, :nf] = A_act[:, free]
-        if v_positive:
-            M[nf : nf + na, nf + na] = -1.0
-        rhs[nf : nf + na] = -qp.offsets[active]
-        if fixed.any():
-            rhs[nf : nf + na] -= A_act[:, fixed] @ fixed_vals[fixed]
-
-    # stationarity in v when v > 0: sum of hinge duals equals Gamma
-    if v_positive:
-        M[nf + na, nf : nf + na] = 1.0
-        rhs[nf + na] = qp.hinge_weight
-
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    u = np.empty(d)
-    u[free] = sol[:nf]
-    u[fixed] = fixed_vals[fixed]
+    r = qp.rho * qp.anchor - qp.linear
+    if isinstance(qp.regularizer, L1):
+        r = r - qp.regularizer.weight * pattern
+    r_free = r[free]
+    na = len(active)
     mu = np.zeros(qp.m)
+    v = 0.0
     if na:
-        mu[active] = sol[nf : nf + na]
-    v = float(sol[nf + na]) if v_positive else 0.0
+        A_act = qp.slopes[active]
+        A_free = A_act[:, free]
+        n = na + 1 if v_positive else na
+        K = np.zeros((n, n))
+        K[:na, :na] = A_free @ A_free.T / qp.rho
+        rhs = np.empty(n)
+        rhs[:na] = A_free @ r_free / qp.rho + qp.offsets[active]
+        if fixed.any():
+            rhs[:na] += A_act[:, fixed] @ fixed_vals[fixed]
+        if v_positive:
+            K[:na, na] = 1.0
+            K[na, :na] = 1.0
+            rhs[na] = qp.hinge_weight
+        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+        mu[active] = sol[:na]
+        if v_positive:
+            v = float(sol[na])
+        r_free = r_free - A_free.T @ sol[:na]
+    u = fixed_vals
+    u[free] = r_free / qp.rho
     return u, mu, v
 
 
@@ -273,8 +284,12 @@ def _pattern_iteration(
     v_positive: bool,
     pattern0: np.ndarray,
     max_rounds: int = 30,
+    solve: Optional[Callable] = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Alternate exact pattern solves and pattern refinement for ``max_rounds`` rounds.
+
+    ``solve`` is the pattern-system kernel, ``_solve_pattern_system`` unless
+    given (the dense oracle passes its own).
 
     Returns the solution of the last pattern visited.  The solve-then-refine
     map is deterministic, so once a pattern repeats the remaining rounds only
@@ -284,7 +299,8 @@ def _pattern_iteration(
     where the cycle starts at visit ``first``.  The result is bit-for-bit that
     of the full loop.
     """
-    solved = [_solve_pattern_system(qp, active, v_positive, pattern0)]
+    solve = solve or _solve_pattern_system
+    solved = [solve(qp, active, v_positive, pattern0)]
     seen = {pattern0.tobytes(): 0}
     pattern = pattern0
     for _ in range(max_rounds):
@@ -294,7 +310,7 @@ def _pattern_iteration(
         if first < len(solved):
             u, mu, v = solved[first + (max_rounds - first) % (len(solved) - first)]
             break
-        solved.append(_solve_pattern_system(qp, active, v_positive, pattern))
+        solved.append(solve(qp, active, v_positive, pattern))
     else:
         u, mu, v = solved[-1]
     if isinstance(qp.regularizer, BoxIndicator):
@@ -323,13 +339,20 @@ def _assemble(qp: CanonicalQp, u, mu, v, active, converged=True, sweeps=0) -> Qp
     return sol
 
 
-def _polish_candidates(qp: CanonicalQp, u: np.ndarray, sweeps: int) -> list[QpSolution]:
-    """Guess active sets around u at several thresholds and solve each exactly."""
+def _polish_candidates(
+    qp: CanonicalQp, u: np.ndarray, sweeps: int, seen: Optional[set[tuple]] = None
+) -> Iterator[QpSolution]:
+    """Guess active sets around u at several thresholds and solve each exactly.
+
+    Lazy: a candidate is solved only when the caller asks for it, so a caller
+    that stops at the first certifying candidate solves no more.  Candidates
+    whose key (active set, epigraph case, coordinate pattern) is in ``seen``
+    are skipped.
+    """
     r = _hinge_values(qp, u)
     v_est = max(0.0, float(r.max())) if qp.m else 0.0
     scale = 1.0 + abs(v_est)
-    out = []
-    seen: set[tuple] = set()
+    seen = set() if seen is None else seen
     for thr in (1e-10, 1e-7, 1e-5, 1e-3):
         act = np.flatnonzero(r >= v_est - thr * scale) if qp.m else np.empty(0, dtype=int)
         pattern = _coordinate_pattern(qp, u, thr)
@@ -342,8 +365,7 @@ def _polish_candidates(qp: CanonicalQp, u: np.ndarray, sweeps: int) -> list[QpSo
                 continue
             seen.add(key)
             uu, mm, vv = _pattern_iteration(qp, act, v_pos, pattern)
-            out.append(_assemble(qp, uu, mm, vv, act, sweeps=sweeps))
-    return out
+            yield _assemble(qp, uu, mm, vv, act, sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +381,10 @@ def solve_canonical_qp(
     """Solve the canonical subproblem to a KKT residual of at most tol.
 
     ``warm`` may carry the previous iteration's solution; its duals and active
-    set seed the solve, which usually finishes in a single polish step when the
-    active set is unchanged.  On budget exhaustion the dense test oracle is
-    used as a fallback for small instances; otherwise the best iterate is
-    returned with ``converged=False``.
+    set seed the solve.  Its active set is polished first, so the solve takes
+    a single pattern solve when the active set is unchanged.  On budget
+    exhaustion the dense test oracle is used as a fallback for small
+    instances; otherwise the best iterate is returned with ``converged=False``.
     """
     if not (0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
@@ -387,7 +409,14 @@ def solve_canonical_qp(
             return best
 
     if warm is not None:
-        for sol in _polish_candidates(qp, warm.u, sweeps=0):
+        # the warm solution's own active set first: unchanged in most steps
+        act = np.asarray(warm.active_set, dtype=int)
+        v_pos = warm.v > 0 and len(act) > 0
+        pattern = _coordinate_pattern(qp, warm.u, 1e-10)
+        if consider(_assemble(qp, *_pattern_iteration(qp, act, v_pos, pattern), act)):
+            return best
+        seen = {(warm.active_set, v_pos, tuple(pattern))}
+        for sol in _polish_candidates(qp, warm.u, sweeps=0, seen=seen):
             if consider(sol):
                 return best
 
@@ -428,6 +457,64 @@ def solve_canonical_qp(
 
 # ---------------------------------------------------------------------------
 # Dense enumeration oracle (tests only)
+
+
+def _solve_full_pattern_system(
+    qp: CanonicalQp,
+    active: np.ndarray,
+    v_positive: bool,
+    pattern: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unreduced counterpart of ``_solve_pattern_system``, the oracle's kernel.
+
+    Least squares on the full (free + active + [v > 0])-square KKT system in
+    (u_F, mu, v), without eliminating u_F; slower, but it shares no algebra
+    with the solver's kernel.
+    """
+    reg = qp.regularizer
+    d = qp.dim
+    na = len(active)
+    fixed, fixed_vals = _pattern_split(qp, pattern)
+    free = ~fixed
+    nf = int(free.sum())
+    nv = 1 if v_positive else 0
+    n_unknown = nf + na + nv
+
+    M = np.zeros((n_unknown, n_unknown))
+    rhs = np.zeros(n_unknown)
+    A_act = qp.slopes[active] if na else np.empty((0, d))
+
+    # stationarity in the free coordinates
+    M[:nf, :nf] = qp.rho * np.eye(nf)
+    if na:
+        M[:nf, nf : nf + na] = A_act[:, free].T
+    rhs[:nf] = qp.rho * qp.anchor[free] - qp.linear[free]
+    if isinstance(reg, L1):
+        rhs[:nf] -= reg.weight * pattern[free]
+
+    # active hinges hold with equality: A_k u - v = -b_k
+    if na:
+        M[nf : nf + na, :nf] = A_act[:, free]
+        if v_positive:
+            M[nf : nf + na, nf + na] = -1.0
+        rhs[nf : nf + na] = -qp.offsets[active]
+        if fixed.any():
+            rhs[nf : nf + na] -= A_act[:, fixed] @ fixed_vals[fixed]
+
+    # stationarity in v when v > 0: sum of hinge duals equals Gamma
+    if v_positive:
+        M[nf + na, nf : nf + na] = 1.0
+        rhs[nf + na] = qp.hinge_weight
+
+    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    u = np.empty(d)
+    u[free] = sol[:nf]
+    u[fixed] = fixed_vals[fixed]
+    mu = np.zeros(qp.m)
+    if na:
+        mu[active] = sol[nf : nf + na]
+    v = float(sol[nf + na]) if v_positive else 0.0
+    return u, mu, v
 
 
 def _restricted_dual_seed(
@@ -507,7 +594,7 @@ def dense_oracle_qp(qp: CanonicalQp) -> QpSolution:
                     for seed in seed_fn(act, v_pos):
                         key = (subset, v_pos, seed.tobytes())
                         if key not in solved:
-                            u, mu, v = _pattern_iteration(qp, act, v_pos, seed)
+                            u, mu, v = _pattern_iteration(qp, act, v_pos, seed, solve=_solve_full_pattern_system)
                             finite = np.all(np.isfinite(u))
                             solved[key] = (qp_objective(qp, u), u, mu, v, act) if finite else None
                         keys[key] = None

@@ -235,6 +235,14 @@ class TestCli:
         assert cli_main(["run", str(cfg)]) == 0
         assert (tmp_path / "out" / "ssqp_seed0.csv").exists()
 
+    def test_run_reports_env_output_dir(self, tmp_path, capsys, monkeypatch):
+        cfg = self.write_config(tmp_path, output_dir=str(tmp_path / "config_out"))
+        monkeypatch.setenv("SSQPBENCH_OUTPUT_DIR", str(tmp_path / "env_out"))
+        assert cli_main(["run", str(cfg)]) == 0
+        assert (tmp_path / "env_out" / "ssqp_seed0.csv").exists()
+        assert not (tmp_path / "config_out").exists()
+        assert capsys.readouterr().out.strip().endswith(str(tmp_path / "env_out"))
+
     def test_run_with_seed_override(self, tmp_path):
         cfg = self.write_config(tmp_path, output_dir=str(tmp_path / "out"))
         assert cli_main(["run", str(cfg), "--seed", "5", "7"]) == 0

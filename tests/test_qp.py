@@ -15,6 +15,7 @@ from ssqpbench import (
     qp_objective,
     solve_canonical_qp,
 )
+import ssqpbench.qp_subproblem as qp_subproblem
 from ssqpbench.qp_subproblem import (
     _coordinate_pattern,
     _pattern_iteration,
@@ -177,6 +178,20 @@ class TestKktResidual:
         expected = np.linalg.norm(qp.rho * (u_off - qp.anchor) + qp.linear)
         assert kkt_residual(qp, shifted) == pytest.approx(expected, rel=1e-9)
 
+    def test_coinciding_box_faces(self):
+        # u[0] is pinned by lower == upper, so any stationarity defect there
+        # lies in its normal cone (all of R); optimum u = (0, 0.2), mu = 0.3
+        qp = make_qp(
+            anchor=[1.0, 0.5], linear=[0.0, 0.0],
+            regularizer=BoxIndicator(lower=np.array([0.0, -1.0]), upper=np.array([0.0, 1.0])),
+            gamma=5.0, offsets=[-0.2], slopes=[[0.0, 1.0]],
+        )
+        sol = solve_canonical_qp(qp)
+        assert sol.converged
+        assert sol.kkt_residual <= 1e-9
+        np.testing.assert_allclose(sol.u, [0.0, 0.2], atol=1e-12)
+        assert sol.mu[0] == pytest.approx(0.3, abs=1e-12)
+
 
 class TestDenseOracle:
     def test_unconstrained_closed_form(self):
@@ -239,6 +254,128 @@ class TestPatternIteration:
                         assert got[1].tobytes() == want[1].tobytes()
                         assert got[2] == want[2]
         assert cycling_runs > 0
+
+
+def full_kkt_solve(qp, active, v_positive, pattern):
+    """Least squares on the unreduced equality KKT system in (u, mu, v).
+
+    All d coordinates are unknowns: pinned ones get the row u_i = x_i, free
+    ones their stationarity row.  Reference for the reduced kernel.
+    """
+    reg = qp.regularizer
+    d, na = qp.dim, len(active)
+    if isinstance(reg, BoxIndicator):
+        pinned = pattern != 0
+        values = np.where(pattern < 0, reg.lower, reg.upper)
+    elif isinstance(reg, L1):
+        pinned = pattern == 0
+        values = np.zeros(d)
+    else:
+        pinned = np.zeros(d, dtype=bool)
+        values = np.zeros(d)
+    nv = int(v_positive)
+    n = d + na + nv
+    M = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for i in range(d):
+        if pinned[i]:
+            M[i, i] = 1.0
+            rhs[i] = values[i]
+        else:
+            M[i, i] = qp.rho
+            M[i, d:d + na] = qp.slopes[active, i]
+            rhs[i] = qp.rho * qp.anchor[i] - qp.linear[i]
+            if isinstance(reg, L1):
+                rhs[i] -= reg.weight * pattern[i]
+    for j, k in enumerate(active):
+        M[d + j, :d] = qp.slopes[k]
+        if v_positive:
+            M[d + j, d + na] = -1.0
+        rhs[d + j] = -qp.offsets[k]
+    if v_positive:
+        M[d + na, d:d + na] = 1.0
+        rhs[d + na] = qp.hinge_weight
+    sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    mu = np.zeros(qp.m)
+    mu[active] = sol[d:d + na]
+    return sol[:d], mu, float(sol[d + na]) if v_positive else 0.0
+
+
+class TestReducedKernel:
+    @pytest.mark.parametrize("kind", ["zero", "box", "l1"])
+    @pytest.mark.parametrize("v_positive", [False, True])
+    def test_matches_full_kkt_system(self, kind, v_positive):
+        rng = np.random.default_rng(31)
+        d, m = 6, 4
+        for _ in range(20):
+            if kind == "zero":
+                reg = Zero()
+            elif kind == "box":
+                lo = rng.uniform(-2.0, 0.0, size=d)
+                reg = BoxIndicator(lower=lo, upper=lo + rng.uniform(0.5, 3.0, size=d))
+            else:
+                reg = L1(weight=float(rng.uniform(0.1, 2.0)))
+            qp = random_instance(rng, d, m, reg)
+            active = np.sort(rng.choice(m, size=int(rng.integers(1, 4)), replace=False))
+            # at least three free coordinates, so the active rows stay independent
+            pattern = rng.integers(-1, 2, size=d)
+            if kind == "zero":
+                pattern[:] = 0
+            elif kind == "box":
+                pattern[:3] = 0
+            else:
+                pattern[:3] = rng.choice([-1, 1], size=3)
+            u, mu, v = _solve_pattern_system(qp, active, v_positive, pattern)
+            u_ref, mu_ref, v_ref = full_kkt_solve(qp, active, v_positive, pattern)
+            np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-10)
+            assert v == pytest.approx(v_ref, abs=1e-10)
+
+    @pytest.mark.parametrize("v_positive", [False, True])
+    def test_duplicate_hinge_row(self, v_positive):
+        # rows 0 and 2 coincide: mu is not unique, u and v are
+        rng = np.random.default_rng(32)
+        qp = random_instance(rng, d=4, m=3, regularizer=Zero())
+        slopes = qp.slopes.copy()
+        offsets = qp.offsets.copy()
+        slopes[2], offsets[2] = slopes[0], offsets[0]
+        qp = CanonicalQp(rho=qp.rho, anchor=qp.anchor, linear=qp.linear, regularizer=Zero(),
+                         hinge_weight=qp.hinge_weight, offsets=offsets, slopes=slopes)
+        active = np.array([0, 1, 2])
+        pattern = np.zeros(4, dtype=int)
+        u, mu, v = _solve_pattern_system(qp, active, v_positive, pattern)
+        u_ref, mu_ref, v_ref = full_kkt_solve(qp, active, v_positive, pattern)
+        np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(qp.slopes.T @ mu, qp.slopes.T @ mu_ref, rtol=0, atol=1e-10)
+        assert v == pytest.approx(v_ref, abs=1e-10)
+
+
+class TestPolishOrder:
+    @pytest.mark.parametrize("kind", ["zero", "box", "l1"])
+    def test_warm_resolve_takes_one_pattern_solve(self, kind, monkeypatch):
+        rng = np.random.default_rng(41)
+        d = 5
+        reg = {
+            "zero": Zero(),
+            "box": BoxIndicator(lower=-0.3 * np.ones(d), upper=0.3 * np.ones(d)),
+            "l1": L1(weight=0.5),
+        }[kind]
+        qp = random_instance(rng, d, 4, reg)
+        cold = solve_canonical_qp(qp)
+        assert cold.active_set and cold.kkt_residual <= 1e-9
+
+        calls = []
+        kernel = qp_subproblem._solve_pattern_system
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(qp_subproblem, "_solve_pattern_system", counting)
+        warmed = solve_canonical_qp(qp, warm=cold)
+        assert len(calls) == 1
+        assert warmed.sweeps == 0
+        np.testing.assert_array_equal(warmed.u, cold.u)
 
 
 class TestSolverProperties:
