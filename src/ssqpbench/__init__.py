@@ -16,7 +16,6 @@ from .problem_model import (
     sfo_query,
 )
 from .penalty import (
-    PenaltyConfig,
     ViolationReport,
     gamma_from_slater,
     penalty_objective,
@@ -71,7 +70,7 @@ from .problems import (
     random_quadratic_problem,
     solve_kkt_quadratic,
     straight_line_path,
-    usv_component,
+    usv_component_block,
 )
 from .harness import (
     BenchConfig,

@@ -6,7 +6,9 @@ Subcommands:
   report <trace-dir>       calls-to-threshold summary over the traces in a directory
   slope <trace.csv>        rate-slope fit over a single trace
 
-Exit codes: 0 success, 2 config error, 3 divergence, 4 reference failure.
+Exit codes: 0 success, 2 config error (including unreadable or non-finite
+data files), 3 divergence, 4 reference failure, 5 non-finite oracle
+evaluation (NaN or infinity in a function value or gradient).
 The SSQPBENCH_OUTPUT_DIR environment variable overrides the config output dir.
 """
 
@@ -18,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .algorithms import DivergenceError
+from .problem_model import NonFiniteEvaluationError
 from .harness import (
     BenchConfig,
     ConfigError,
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_REFERENCE = 4
+EXIT_NON_FINITE = 5
 
 
 def _load_config(path: str, args: argparse.Namespace) -> BenchConfig:
@@ -139,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except NonFiniteEvaluationError as exc:
+        print(f"non-finite evaluation: {exc}", file=sys.stderr)
+        return EXIT_NON_FINITE
 
 
 if __name__ == "__main__":

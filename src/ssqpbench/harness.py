@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -88,7 +88,6 @@ class BenchConfig:
     reference: Optional[dict] = None  # {"x_star": [...], "f_star": float}
     gamma_provenance: str = "tuned"  # or "certified"
     slater: Optional[dict] = None  # {"margin": nu, "gap": beta_bar}
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BenchConfig":
@@ -97,7 +96,7 @@ class BenchConfig:
         known = {
             "problem", "algorithm", "schedule", "gamma", "seeds", "horizon",
             "epochs", "batch_size", "checkpoint_stride", "output_dir",
-            "cost_model_m", "reference", "gamma_provenance", "slater", "extra",
+            "cost_model_m", "reference", "gamma_provenance", "slater",
         }
         unknown = set(doc) - known
         if unknown:
@@ -121,9 +120,6 @@ class BenchConfig:
         if self.algorithm == "varas":
             if self.epochs < 1:
                 raise ConfigError("varas requires epochs >= 1")
-        elif self.horizon < 0 or (self.horizon == 0 and self.epochs == 0 and self.algorithm != "varas"):
-            # horizon 0 is the degenerate metadata-only run, still valid
-            pass
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.cost_model_m < 1:
@@ -153,7 +149,6 @@ class BenchConfig:
             "reference": self.reference,
             "gamma_provenance": self.gamma_provenance,
             "slater": self.slater,
-            "extra": self.extra,
         }
         return doc
 

@@ -17,35 +17,11 @@ import numpy as np
 from .problem_model import ConstrainedProblem, OracleCounters
 
 __all__ = [
-    "PenaltyConfig",
     "ViolationReport",
     "gamma_from_slater",
     "penalty_objective",
     "violation_report",
 ]
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Penalty weight gamma plus, when known, the Slater data certifying it."""
-
-    gamma: float
-    slater_margin: Optional[float] = None  # nu
-    slater_gap: Optional[float] = None  # beta_bar
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if self.slater_margin is not None and not self.slater_margin > 0:
-            raise ValueError("Slater margin nu must be positive")
-        if self.slater_gap is not None and self.slater_gap < 0:
-            raise ValueError("Slater gap must be nonnegative")
-        if self.certified and self.gamma < self.slater_gap / self.slater_margin - 1e-12:
-            raise ValueError("gamma below the certified level slater_gap / slater_margin")
-
-    @property
-    def certified(self) -> bool:
-        return self.slater_margin is not None and self.slater_gap is not None
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Constrained problem definitions, the stochastic first-order oracle, and call accounting.
 
-A problem is a finite-sum (or streaming) smooth convex objective, a list of
-smooth convex inequality constraints, and a simple regularizer.  All function
-and gradient evaluations flow through the oracle helpers in this module so the
-SFO/QMO accounting used by the benchmark harness stays consistent.
+A problem is a finite-sum (or streaming) smooth convex objective, m smooth
+convex inequality constraints, and a simple regularizer.  It is evaluated
+only through two block evaluators: ``component_block(x, idx)`` gives the
+values (b,) and gradients (b, d) of the components in the index array ``idx``,
+and ``constraint_block(x)`` gives the values (m,) and gradients (m, d) of all
+constraints (none when m = 0).  All function and gradient evaluations flow
+through the oracle helpers in this module so the SFO/QMO accounting used by
+the benchmark harness stays consistent.
 """
 
 from __future__ import annotations
@@ -140,56 +144,53 @@ class SfoSample:
     sfo_cost: int
 
 
-ComponentFn = Callable[[int, np.ndarray], tuple[float, np.ndarray]]
-ConstraintFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
+ComponentBlock = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+ConstraintBlock = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
 class ConstrainedProblem:
     """A convex objective f = mean_i f_i with m smooth inequality constraints g_k <= 0.
 
-    ``component(i, x)`` returns ``(f_i(x), grad f_i(x))``.  When ``n_components``
-    is 0 the objective is streaming: any integer index is a fresh draw and
-    full-pass operations are unavailable.  ``component_block`` and
-    ``constraint_block`` are optional vectorized fast paths; they must agree
-    with the per-index callables to floating accumulation accuracy.
+    Evaluation goes through two block evaluators only:
+
+    - ``component_block(x, idx)`` takes an integer index array of length b and
+      returns ``(vals (b,), grads (b, dim))``, row j holding ``f_idx[j](x)``
+      and its gradient.  When ``n_components`` is 0 the objective is
+      streaming: any integer index is a fresh draw and full-pass operations
+      are unavailable.
+    - ``constraint_block(x)`` returns ``(vals (m,), grads (m, dim))``, row k
+      holding ``g_k(x)`` and its gradient.  It is required exactly when
+      ``m > 0``.
     """
 
     dim: int
     n_components: int
-    component: ComponentFn
-    constraints: Sequence[ConstraintFn]
+    component_block: ComponentBlock
     smoothness: float
     constraint_smoothness: float
+    m: int = 0
+    constraint_block: Optional[ConstraintBlock] = None
     regularizer: Regularizer = field(default_factory=Zero)
     strong_convexity: float = 0.0
-    gradient_noise: float = 0.0
-    x_star: Optional[np.ndarray] = None
-    f_star: Optional[float] = None
-    component_block: Optional[Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
-    constraint_block: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
         if self.n_components < 0:
             raise ValueError("component count must be >= 0 (0 = streaming)")
+        if self.component_block is None:
+            raise ValueError("a component block evaluator is required")
+        if self.m < 0:
+            raise ValueError("constraint count m must be >= 0")
+        if (self.constraint_block is None) != (self.m == 0):
+            raise ValueError("a constraint block evaluator is required exactly when m > 0")
         if not self.smoothness > 0:
             raise ValueError("objective smoothness L_f must be positive")
         if self.constraint_smoothness < 0:
             raise ValueError("constraint smoothness L_g must be nonnegative")
         if self.strong_convexity < 0 or self.strong_convexity > self.smoothness + 1e-12:
             raise ValueError("need 0 <= mu <= L_f")
-        if self.gradient_noise < 0:
-            raise ValueError("gradient noise bound must be nonnegative")
-        if self.x_star is not None:
-            self.x_star = np.asarray(self.x_star, dtype=float)
-            if self.x_star.shape != (self.dim,):
-                raise ValueError("known optimum has wrong dimension")
-
-    @property
-    def m(self) -> int:
-        return len(self.constraints)
 
     @property
     def is_streaming(self) -> bool:
@@ -198,30 +199,14 @@ class ConstrainedProblem:
     # -- raw evaluation helpers (no counting) --
 
     def component_values_grads(self, x: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.component_block is not None:
-            vals, grads = self.component_block(x, indices)
-            return np.asarray(vals, dtype=float), np.asarray(grads, dtype=float)
-        vals = np.empty(len(indices))
-        grads = np.empty((len(indices), self.dim))
-        for j, i in enumerate(indices):
-            v, g = self.component(int(i), x)
-            vals[j] = v
-            grads[j] = g
-        return vals, grads
+        vals, grads = self.component_block(x, indices)
+        return np.asarray(vals, dtype=float), np.asarray(grads, dtype=float)
 
     def constraint_values_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.m == 0:
             return np.empty(0), np.empty((0, self.dim))
-        if self.constraint_block is not None:
-            vals, grads = self.constraint_block(x)
-            return np.asarray(vals, dtype=float), np.asarray(grads, dtype=float)
-        vals = np.empty(self.m)
-        grads = np.empty((self.m, self.dim))
-        for k, g_k in enumerate(self.constraints):
-            v, g = g_k(x)
-            vals[k] = v
-            grads[k] = g
-        return vals, grads
+        vals, grads = self.constraint_block(x)
+        return np.asarray(vals, dtype=float), np.asarray(grads, dtype=float)
 
     def objective_value(self, x: np.ndarray) -> float:
         """Exact f(x) = mean_i f_i(x); finite-sum only, not counted."""

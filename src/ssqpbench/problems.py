@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,7 +25,7 @@ from .qp_subproblem import CanonicalQp, solve_canonical_qp
 __all__ = [
     "UsvProblem",
     "generate_current_ensemble",
-    "usv_component",
+    "usv_component_block",
     "make_usv_problem",
     "straight_line_path",
     "path_from_decision",
@@ -133,26 +133,27 @@ def straight_line_path(usv: UsvProblem) -> np.ndarray:
     return interior.ravel()
 
 
-def usv_component(usv: UsvProblem, i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Energy under current estimate i: sum over segments of ||r||^3.
+def usv_component_block(usv: UsvProblem, x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies under the current estimates ``idx``: per estimate, the sum over
+    segments of ||r||^3.
 
     r_t = (I - W_i) p(t) - p(t+1) - z_i is the required through-water velocity
     of segment t; d||r||^3/dr = 3 ||r|| r flows to the waypoints by the chain
-    rule, with the endpoint contributions dropped.
+    rule, with the endpoint contributions dropped.  Returns values (b,) and
+    gradients (b, dim) for the b indices.
     """
     path = path_from_decision(usv, x)
-    w_i = usv.currents_w[i]
-    z_i = usv.currents_z[i]
-    eff = path[:-1] - path[:-1] @ w_i.T  # (I - W_i) p(t) rows
-    resid = eff - path[1:] - z_i  # (T-1, 2)
-    norms = np.linalg.norm(resid, axis=1)
-    value = float(np.sum(norms**3))
+    w = usv.currents_w[idx]  # (b, 2, 2)
+    eff = path[:-1] - path[:-1] @ w.transpose(0, 2, 1)  # (I - W_i) p(t) rows
+    resid = eff - path[1:] - usv.currents_z[idx][:, None, :]  # (b, T-1, 2)
+    norms = np.linalg.norm(resid, axis=-1)
+    values = np.sum(norms**3, axis=-1)
 
-    grad_path = np.zeros_like(path)
-    weighted = 3.0 * norms[:, None] * resid
-    grad_path[:-1] += weighted @ (np.eye(2) - w_i)
-    grad_path[1:] -= weighted
-    return value, grad_path[1:-1].ravel()
+    grad_path = np.zeros((len(w), usv.horizon, 2))
+    weighted = 3.0 * norms[..., None] * resid
+    grad_path[:, :-1] += weighted @ (np.eye(2) - w)
+    grad_path[:, 1:] -= weighted
+    return values, grad_path[:, 1:-1].reshape(len(w), usv.dim)
 
 
 def _usv_constraint_bundle(usv: UsvProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,20 +198,13 @@ def make_usv_problem(
         region=region,
     )
 
-    def segment_constraint(t: int):
-        def g(x: np.ndarray) -> tuple[float, np.ndarray]:
-            vals, grads = _usv_constraint_bundle(usv, x)
-            return float(vals[t]), grads[t]
-
-        return g
-
     problem = ConstrainedProblem(
         dim=usv.dim,
         n_components=n,
-        component=lambda i, x: usv_component(usv, i, x),
-        constraints=[segment_constraint(t) for t in range(usv.m)],
+        component_block=lambda x, idx: usv_component_block(usv, x, idx),
         smoothness=smoothness,
         constraint_smoothness=4.0,
+        m=usv.m,
         constraint_block=lambda x: _usv_constraint_bundle(usv, x),
     )
     return problem, usv
@@ -288,20 +282,9 @@ def _build_regression(
     x_crit = features[critical_idx]
     y_crit = labels[critical_idx]
 
-    def component(i: int, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        resid = float(x_obj[i] @ theta) - y_obj[i]
-        return 0.5 * resid * resid, resid * x_obj[i]
-
     def component_block(theta: np.ndarray, idx: np.ndarray):
         resid = x_obj[idx] @ theta - y_obj[idx]
         return 0.5 * resid * resid, resid[:, None] * x_obj[idx]
-
-    def make_constraint(k: int):
-        def g(theta: np.ndarray) -> tuple[float, np.ndarray]:
-            resid = y_crit[k] - float(x_crit[k] @ theta)
-            return resid * resid - tolerance, -2.0 * resid * x_crit[k]
-
-        return g
 
     def constraint_block(theta: np.ndarray):
         resid = y_crit - x_crit @ theta
@@ -310,13 +293,12 @@ def _build_regression(
     problem = ConstrainedProblem(
         dim=features.shape[1],
         n_components=n,
-        component=component,
-        constraints=[make_constraint(k) for k in range(len(critical_idx))],
+        component_block=component_block,
         smoothness=float(eigs[-1]),
         constraint_smoothness=2.0 * float(np.max(np.sum(x_crit**2, axis=1))),
-        strong_convexity=float(max(eigs[0], 0.0)),
-        component_block=component_block,
+        m=len(critical_idx),
         constraint_block=constraint_block,
+        strong_convexity=float(max(eigs[0], 0.0)),
     )
     return problem, data
 
@@ -355,10 +337,14 @@ def load_regression_csv(
     path: str, seed: int, n: int, critical: int, tolerance: float
 ) -> tuple[ConstrainedProblem, ResidualRegressionProblem]:
     """Dataset loader: comma-separated numeric matrix with one header row,
-    last column the label; features are z-scored and a bias column appended."""
+    last column the label; features are z-scored and a bias column appended.
+    Raises ValueError naming the file when an entry is NaN or infinite."""
     raw = np.loadtxt(path, delimiter=",", skiprows=1)
     if raw.ndim != 2 or raw.shape[1] < 2:
         raise ValueError("expected a 2-d numeric matrix with features plus a label column")
+    if not np.all(np.isfinite(raw)):
+        rows = np.flatnonzero(~np.isfinite(raw).all(axis=1)) + 1
+        raise ValueError(f"{path}: non-finite entries in data row(s) {rows[:5].tolist()}")
     if raw.shape[0] < n + critical:
         raise ValueError("file has fewer rows than n + critical")
     x_raw = raw[:, :-1]
@@ -394,46 +380,58 @@ def random_quadratic_problem(
     shifts = rng.standard_normal(n)
     shifts -= shifts.mean()
     scale = 0.4 * mu / (np.abs(shifts).max() + 1e-12)
-    q_list = [q_mean + scale * s * np.eye(dim) for s in shifts]
-    b_list = rng.standard_normal((n, dim))
-    b_mean = b_list.mean(axis=0)
+    q_stack = q_mean + (scale * shifts)[:, None, None] * np.eye(dim)  # (n, d, d)
+    b_stack = rng.standard_normal((n, dim))
+    b_mean = b_stack.mean(axis=0)
 
     a_con = rng.standard_normal((m, dim)) if m else np.empty((0, dim))
     # offsets chosen so the unconstrained optimum violates some constraints
     x_unc = np.linalg.solve(q_mean, -b_mean)
     c_con = a_con @ x_unc - np.abs(rng.standard_normal(m)) if m else np.empty(0)
 
-    def component(i: int, x: np.ndarray) -> tuple[float, np.ndarray]:
-        q = q_list[i]
-        return float(0.5 * x @ q @ x + b_list[i] @ x), q @ x + b_list[i]
+    def component_block(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q, b = q_stack[idx], b_stack[idx]
+        return _row_dots((0.5 * x) @ q, x) + _row_dots(b, x), q @ x + b
 
-    constraints = []
-    l_g = 0.0
     if affine_constraints:
-        for k in range(m):
-            constraints.append(lambda x, k=k: (float(a_con[k] @ x - c_con[k]), a_con[k].copy()))
+        l_g = 0.0
+
+        def constraint_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return _row_dots(a_con, x) - c_con, a_con.copy()
+
     else:
+        l_g = 2.0 if m else 0.0
+        centers = np.empty((m, dim))
+        radii2 = np.empty(m)
         for k in range(m):
-            center = x_unc + rng.standard_normal(dim)
-            radius2 = float(rng.uniform(0.1, 0.5))
-            constraints.append(
-                lambda x, c=center, r2=radius2: (
-                    float((x - c) @ (x - c)) - r2,
-                    2.0 * (x - c),
-                )
-            )
-            l_g = 2.0
-    max_eig = max(float(np.linalg.eigvalsh(q)[-1]) for q in q_list)
-    min_eig = min(float(np.linalg.eigvalsh(q)[0]) for q in q_list)
+            centers[k] = x_unc + rng.standard_normal(dim)
+            radii2[k] = rng.uniform(0.1, 0.5)
+
+        def constraint_block(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            diff = x - centers
+            return _row_dots(diff, diff) - radii2, 2.0 * diff
+
+    eigs = [np.linalg.eigvalsh(q) for q in q_stack]
     return ConstrainedProblem(
         dim=dim,
         n_components=n,
-        component=component,
-        constraints=constraints,
-        smoothness=max_eig,
+        component_block=component_block,
+        smoothness=max(float(e[-1]) for e in eigs),
         constraint_smoothness=l_g,
-        strong_convexity=max(min_eig, 0.0),
+        m=m,
+        constraint_block=constraint_block if m else None,
+        strong_convexity=max(min(float(e[0]) for e in eigs), 0.0),
     )
+
+
+def _row_dots(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """rows[k] @ y[k] for every k (a 1-d y is shared by all rows).
+
+    Written as a stack of (1, d) @ (d, 1) products so that each entry is
+    computed like the 1-d ``dot`` of one row; ``rows @ y`` and ``einsum`` may
+    round differently in the last bit.
+    """
+    return (rows[:, None, :] @ y[..., None])[:, 0, 0]
 
 
 def brute_force_optimum(

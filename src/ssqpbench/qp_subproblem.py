@@ -422,7 +422,9 @@ def solve_canonical_qp(
 
     # accelerated projected gradient ascent on the dual
     lip = float(np.linalg.norm(qp.slopes, 2)) ** 2 / qp.rho
-    step = 1.0 / max(lip, 1e-300)
+    # all-zero slopes leave u independent of mu, so any finite step serves; a
+    # near-infinite one would cancel the cap away in the simplex projection
+    step = 1.0 / lip if lip > 0.0 else qp.rho
     mu = _project_dual(warm.mu.copy(), qp.hinge_weight) if warm is not None else np.zeros(m)
     mom = mu.copy()
     t_acc = 1.0

@@ -59,20 +59,24 @@ def _report(k, ok, details):
     print(f"criterion {k}: {'PASS' if ok else 'FAIL'} — {details}")
 
 
+def _component_grad(problem, i, x):
+    """Gradient of the single component i, read off a one-index block."""
+    return problem.component_values_grads(x, np.array([i]))[1][0]
+
+
 def _quadratic_data(problem):
-    """Recover (Q, c, A, b) of a random_quadratic_problem from its callables."""
+    """Recover (Q, c, A, b) of a random_quadratic_problem from its block evaluators."""
     d = problem.dim
     n = problem.n_components
-    grad0 = np.mean([problem.component(i, np.zeros(d))[1] for i in range(n)], axis=0)
+    grad0 = np.mean([_component_grad(problem, i, np.zeros(d)) for i in range(n)], axis=0)
     q = np.column_stack(
         [
-            np.mean([problem.component(i, e)[1] for i in range(n)], axis=0) - grad0
+            np.mean([_component_grad(problem, i, e) for i in range(n)], axis=0) - grad0
             for e in np.eye(d)
         ]
     )
-    a = np.array([g(np.zeros(d))[1] for g in problem.constraints])
-    b = np.array([-g(np.zeros(d))[0] for g in problem.constraints])
-    return q, grad0, a, b
+    cvals, a = problem.constraint_values_grads(np.zeros(d))
+    return q, grad0, a, -cvals
 
 
 # shared desk-scale regression instance (criteria 3 and 4)
@@ -150,7 +154,7 @@ class TestAcceptance:
                 bounds=[(-50, 50)] * 3 + [(0, 50)],
             )
             x_slater = x_star + 0.05 * (lp.x[:3] - x_star)
-            margin = -max(g(x_slater)[0] for g in problem.constraints)
+            margin = -float(problem.constraint_values_grads(x_slater)[0].max())
             assert margin > 0
             gap = max(
                 problem.objective_value(x_slater) - problem.objective_value(x_star), 0.0
@@ -342,15 +346,16 @@ class TestAcceptance:
         rng = np.random.default_rng(5)
         offsets = rng.standard_normal(64) * 0.5
 
-        def component(i, x):
-            value = abs(x[0]) ** 12 / 12.0 + 0.5 * (x[1] - offsets[i]) ** 2
-            grad = np.array([np.sign(x[0]) * abs(x[0]) ** 11, x[1] - offsets[i]])
-            return float(value), grad
+        def component_block(x, idx):
+            r = x[1] - offsets[idx]
+            values = abs(x[0]) ** 12 / 12.0 + 0.5 * r**2
+            grads = np.column_stack([np.full(len(idx), np.sign(x[0]) * abs(x[0]) ** 11), r])
+            return values, grads
 
-        g = lambda x: (float(1.0 - x[1]), np.array([0.0, -1.0]))
         flat = ConstrainedProblem(
-            dim=2, n_components=64, component=component, constraints=[g],
+            dim=2, n_components=64, component_block=component_block,
             smoothness=11.0, constraint_smoothness=0.0,
+            m=1, constraint_block=lambda x: (np.array([1.0 - x[1]]), np.array([[0.0, -1.0]])),
         )
         flat_gamma = 10.0
         fx_star, ff_star = brute_force_optimum(
@@ -413,14 +418,14 @@ class TestAcceptance:
             y, snap = rec["y"], rec["x_prev"]
             snap_grad = full_gradient(problem, snap)
             expected = (
-                problem.component(rec["index"], y)[1]
-                - problem.component(rec["index"], snap)[1]
+                _component_grad(problem, rec["index"], y)
+                - _component_grad(problem, rec["index"], snap)
                 + snap_grad
             )
             np.testing.assert_allclose(rec["n_tilde"], expected, atol=1e-12)
             mean = np.mean(
                 [
-                    problem.component(j, y)[1] - problem.component(j, snap)[1] + snap_grad
+                    _component_grad(problem, j, y) - _component_grad(problem, j, snap) + snap_grad
                     for j in range(16)
                 ],
                 axis=0,

@@ -29,14 +29,15 @@ from ssqpbench.algorithms import _draw_batch, _rng_streams
 from ssqpbench.problems import random_quadratic_problem
 
 
-def toy_problem(center=3.0, constraints=(), mu=1.0):
-    """1-d f(x) = (mu/2)(x - center)^2 with optional constraint callables."""
+def toy_problem(center=3.0, mu=1.0):
+    """1-d f(x) = (mu/2)(x - center)^2, unconstrained."""
 
-    def component(i, x):
-        return float(0.5 * mu * (x[0] - center) ** 2), np.array([mu * (x[0] - center)])
+    def component_block(x, idx):
+        r = x[0] - center
+        return np.full(len(idx), 0.5 * mu * r**2), np.full((len(idx), 1), mu * r)
 
     return ConstrainedProblem(
-        dim=1, n_components=1, component=component, constraints=list(constraints),
+        dim=1, n_components=1, component_block=component_block,
         smoothness=mu, constraint_smoothness=0.0, strong_convexity=mu,
     )
 
@@ -44,13 +45,16 @@ def toy_problem(center=3.0, constraints=(), mu=1.0):
 def two_d_constrained_problem():
     """f(x) = ||x||^2 with g(x) = 1 - x_1 <= 0 (forces x_1 >= 1)."""
 
-    def component(i, x):
-        return float(x @ x), 2.0 * x
+    def component_block(x, idx):
+        return np.full(len(idx), x @ x), np.tile(2.0 * x, (len(idx), 1))
 
-    g = lambda x: (float(1.0 - x[0]), np.array([-1.0, 0.0]))
+    def constraint_block(x):
+        return np.array([1.0 - x[0]]), np.array([[-1.0, 0.0]])
+
     return ConstrainedProblem(
-        dim=2, n_components=1, component=component, constraints=[g],
+        dim=2, n_components=1, component_block=component_block,
         smoothness=2.0, constraint_smoothness=0.0, strong_convexity=2.0,
+        m=1, constraint_block=constraint_block,
     )
 
 
@@ -142,11 +146,11 @@ class TestSsqpRun:
 
     def test_divergence_guard(self):
         # gradient pushing away from the origin with a huge stepsize blows up
-        def component(i, x):
-            return float(-0.5 * x @ x), -x
+        def component_block(x, idx):
+            return np.full(len(idx), -0.5 * x @ x), np.tile(-x, (len(idx), 1))
 
         problem = ConstrainedProblem(
-            dim=1, n_components=1, component=component, constraints=[],
+            dim=1, n_components=1, component_block=component_block,
             smoothness=1.0, constraint_smoothness=0.0,
         )
         config = RunConfig(
@@ -180,8 +184,10 @@ class TestSsqpSkip:
     def test_rejects_convex_problems(self):
         problem = ConstrainedProblem(
             dim=1, n_components=1,
-            component=lambda i, x: (float(x[0] ** 2), np.array([2.0 * x[0]])),
-            constraints=[], smoothness=2.0, constraint_smoothness=0.0,
+            component_block=lambda x, idx: (
+                np.full(len(idx), x[0] ** 2), np.full((len(idx), 1), 2.0 * x[0])
+            ),
+            smoothness=2.0, constraint_smoothness=0.0,
         )
         config = RunConfig(
             gamma=1.0, schedule=SkipSchedule(mu=1.0, smoothness=2.0),
@@ -250,15 +256,19 @@ class TestSsqpSkip:
 class TestVaras:
     def test_converges_on_constrained_toy(self):
         # min ||x - (2, 3)||^2 s.t. x_1 <= 1: optimum (1, 3)
-        def component(i, x):
-            return float((x[0] - 2.0) ** 2 + (x[1] - 3.0) ** 2), np.array(
-                [2.0 * (x[0] - 2.0), 2.0 * (x[1] - 3.0)]
-            )
+        center = np.array([2.0, 3.0])
 
-        g = lambda x: (float(x[0] - 1.0), np.array([1.0, 0.0]))
+        def component_block(x, idx):
+            r = x - center
+            return np.full(len(idx), r @ r), np.tile(2.0 * r, (len(idx), 1))
+
+        def constraint_block(x):
+            return np.array([x[0] - 1.0]), np.array([[1.0, 0.0]])
+
         problem = ConstrainedProblem(
-            dim=2, n_components=1, component=component, constraints=[g],
+            dim=2, n_components=1, component_block=component_block,
             smoothness=2.0, constraint_smoothness=0.0, strong_convexity=2.0,
+            m=1, constraint_block=constraint_block,
         )
         sched = VarasSchedule(n=1, mu=2.0, smoothness_gamma=2.0 + 10.0 * 0.0 + 1.0)
         config = RunConfig(gamma=10.0, schedule=sched, x0=np.zeros(2), epochs=120)
@@ -267,11 +277,11 @@ class TestVaras:
 
     def test_single_component_gradient_is_exact(self):
         # n = 1: the variance-reduced estimate collapses to the full gradient
-        def component(i, x):
-            return float(0.5 * x @ x), x.copy()
+        def component_block(x, idx):
+            return np.full(len(idx), 0.5 * x @ x), np.tile(x, (len(idx), 1))
 
         problem = ConstrainedProblem(
-            dim=2, n_components=1, component=component, constraints=[],
+            dim=2, n_components=1, component_block=component_block,
             smoothness=1.0, constraint_smoothness=0.0, strong_convexity=1.0,
         )
         sched = VarasSchedule(n=1, mu=1.0, smoothness_gamma=1.0)
@@ -297,12 +307,12 @@ class TestVaras:
             # variance-reduced estimate can be reconstructed exactly
             y, snap, i = rec["y"], rec["x_prev"], rec["index"]
             snap_grad = full_gradient(problem, snap)
-            expected = problem.component(i, y)[1] - problem.component(i, snap)[1] + snap_grad
+            expected = _component_grad(problem, i, y) - _component_grad(problem, i, snap) + snap_grad
             np.testing.assert_allclose(rec["n_tilde"], expected, atol=1e-12)
             # exhaustive-index mean collapses to the full gradient at y
             mean = np.mean(
                 [
-                    problem.component(j, y)[1] - problem.component(j, snap)[1] + snap_grad
+                    _component_grad(problem, j, y) - _component_grad(problem, j, snap) + snap_grad
                     for j in range(12)
                 ],
                 axis=0,
@@ -337,8 +347,8 @@ class TestVaras:
     def test_streaming_rejected(self):
         problem = ConstrainedProblem(
             dim=1, n_components=0,
-            component=lambda i, x: (0.0, np.zeros(1)),
-            constraints=[], smoothness=1.0, constraint_smoothness=0.0,
+            component_block=lambda x, idx: (np.zeros(len(idx)), np.zeros((len(idx), 1))),
+            smoothness=1.0, constraint_smoothness=0.0,
         )
         sched = VarasSchedule(n=4, mu=0.0, smoothness_gamma=1.0)
         config = RunConfig(gamma=1.0, schedule=sched, x0=np.zeros(1), epochs=2)
@@ -385,19 +395,23 @@ class TestThreePointAudit:
             three_point_audit(problem, 1.0, np.zeros(2), trace)
 
 
+def _component_grad(problem, i, x):
+    """Gradient of the single component i, read off a one-index block."""
+    return problem.component_values_grads(x, np.array([i]))[1][0]
+
+
 def _quadratic_data(problem):
-    """Recover (Q, c, A, b) of a random_quadratic_problem from its callables."""
+    """Recover (Q, c, A, b) of a random_quadratic_problem from its block evaluators."""
     d = problem.dim
-    grad0 = np.mean([problem.component(i, np.zeros(d))[1] for i in range(problem.n_components)], axis=0)
+    grad0 = np.mean([_component_grad(problem, i, np.zeros(d)) for i in range(problem.n_components)], axis=0)
     q = np.column_stack(
         [
-            np.mean([problem.component(i, e)[1] for i in range(problem.n_components)], axis=0) - grad0
+            np.mean([_component_grad(problem, i, e) for i in range(problem.n_components)], axis=0) - grad0
             for e in np.eye(d)
         ]
     )
-    a = np.array([g(np.zeros(d))[1] for g in problem.constraints])
-    b = np.array([-g(np.zeros(d))[0] for g in problem.constraints])
-    return q, grad0, a, b
+    cvals, a = problem.constraint_values_grads(np.zeros(d))
+    return q, grad0, a, -cvals
 
 
 def _mean_quadratic_optimum(problem):

@@ -20,13 +20,16 @@ from ssqpbench.problems import random_quadratic_problem
 def one_d_constrained():
     """f(x) = x^2/2 with g(x) = 1 - x <= 0; KKT optimum x* = 1, lambda* = 1."""
 
-    def component(i, x):
-        return float(0.5 * x[0] ** 2), np.array([x[0]])
+    def component_block(x, idx):
+        return np.full(len(idx), 0.5 * x[0] ** 2), np.full((len(idx), 1), x[0])
 
-    g = lambda x: (float(1.0 - x[0]), np.array([-1.0]))
+    def constraint_block(x):
+        return np.array([1.0 - x[0]]), np.array([[-1.0]])
+
     return ConstrainedProblem(
-        dim=1, n_components=1, component=component, constraints=[g],
+        dim=1, n_components=1, component_block=component_block,
         smoothness=1.0, constraint_smoothness=0.0, strong_convexity=1.0,
+        m=1, constraint_block=constraint_block,
     )
 
 

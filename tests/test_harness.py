@@ -257,6 +257,28 @@ class TestCli:
     def test_unreadable_config_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_file_exit_code(self, tmp_path, capsys, bad):
+        rng = np.random.default_rng(8)
+        matrix = np.column_stack([rng.standard_normal((40, 3)), rng.standard_normal(40)])
+        matrix[17, -1] = bad
+        data = tmp_path / "data.csv"
+        np.savetxt(data, matrix, delimiter=",", header="a,b,c,label", comments="")
+        problem = {"kind": "regression-file", "path": str(data), "n": 30, "critical": 5,
+                   "tolerance": 50.0}
+        cfg = self.write_config(tmp_path, problem=problem, output_dir=str(tmp_path / "out"))
+        for seed in ("0", "2", "3", "5"):
+            assert cli_main(["run", str(cfg), "--seed", seed]) == 2
+            assert str(data) in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_evaluation_exit_code(self, tmp_path, capsys):
+        # currents of size 1e200 overflow the cubic energy's gradient at the first query
+        problem = {"kind": "usv", "seed": 0, "n": 3, "horizon": 5, "z_scale": 1e200}
+        cfg = self.write_config(tmp_path, problem=problem, output_dir=str(tmp_path / "out"))
+        assert cli_main(["run", str(cfg)]) == 5
+        assert "non-finite" in capsys.readouterr().err
+
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "traces"
         out.mkdir()

@@ -13,28 +13,36 @@ from ssqpbench import (
     penalty_objective,
     violation_report,
 )
-from ssqpbench.penalty import PenaltyConfig
 
 
-def one_d_problem(constraints, regularizer=None, f=lambda x: (x**2, 2 * x)):
-    def component(i, x):
+def one_d_problem(rows, regularizer=None, f=lambda x: (x**2, 2 * x)):
+    """1-d problem with constraints g_k(x) = slope_k * x + offset_k, one (slope, offset) per row."""
+
+    def component_block(x, idx):
         v, g = f(float(x[0]))
-        return float(v), np.array([g])
+        return np.full(len(idx), v, dtype=float), np.full((len(idx), 1), g, dtype=float)
+
+    slopes = np.array([slope for slope, _ in rows], dtype=float)
+    offsets = np.array([offset for _, offset in rows], dtype=float)
+
+    def constraint_block(x):
+        return slopes * x[0] + offsets, slopes[:, None].copy()
 
     kwargs = {} if regularizer is None else {"regularizer": regularizer}
     return ConstrainedProblem(
-        dim=1, n_components=1, component=component, constraints=constraints,
-        smoothness=2.0, constraint_smoothness=0.0, **kwargs,
+        dim=1, n_components=1, component_block=component_block,
+        smoothness=2.0, constraint_smoothness=0.0,
+        m=len(rows), constraint_block=constraint_block if rows else None, **kwargs,
     )
 
 
 def affine_constraint(slope, offset):
-    """g(x) = slope*x + offset as a 1-d constraint callable."""
-    return lambda x: (float(slope * x[0] + offset), np.array([float(slope)]))
+    """Row of g(x) = slope*x + offset for ``one_d_problem``."""
+    return (slope, offset)
 
 
 def constant_constraint(value):
-    return lambda x: (float(value), np.array([0.0]))
+    return (0.0, value)
 
 
 class TestGammaFromSlater:
@@ -58,16 +66,6 @@ class TestGammaFromSlater:
         grid = np.linspace(-2.0, 3.0, 50001)
         values = [penalty_objective(problem, gamma, np.array([x])) for x in grid]
         assert grid[int(np.argmin(values))] == pytest.approx(1.0, abs=1e-4)
-
-
-class TestPenaltyConfig:
-    def test_certified_flag(self):
-        assert PenaltyConfig(3.0, slater_margin=1.0, slater_gap=3.0).certified
-        assert not PenaltyConfig(3.0).certified
-
-    def test_rejects_undershooting_gamma(self):
-        with pytest.raises(ValueError):
-            PenaltyConfig(2.0, slater_margin=1.0, slater_gap=3.0)
 
 
 class TestPenaltyObjective:

@@ -21,15 +21,21 @@ from ssqpbench.problems import random_quadratic_problem
 def two_component_problem():
     """d=1, f_1(x) = x^2, f_2(x) = (x-1)^2, no constraints."""
 
-    def component(i, x):
-        if i == 0:
-            return float(x[0] ** 2), np.array([2.0 * x[0]])
-        return float((x[0] - 1.0) ** 2), np.array([2.0 * (x[0] - 1.0)])
+    centers = np.array([0.0, 1.0])
+
+    def component_block(x, idx):
+        r = x[0] - centers[idx]
+        return r**2, (2.0 * r)[:, None]
 
     return ConstrainedProblem(
-        dim=1, n_components=2, component=component, constraints=[],
+        dim=1, n_components=2, component_block=component_block,
         smoothness=2.0, constraint_smoothness=0.0,
     )
+
+
+def _component_grad(problem, i, x):
+    """Gradient of the single component i, read off a one-index block."""
+    return problem.component_values_grads(x, np.array([i]))[1][0]
 
 
 class TestRegularizers:
@@ -61,6 +67,41 @@ class TestRegularizers:
         assert L1(2.0).scaled(3.0) == L1(6.0)
         with pytest.raises(ValueError):
             L1(-1.0)
+
+
+class TestBlockContract:
+    @staticmethod
+    def build(**overrides):
+        kwargs = dict(
+            dim=2, n_components=3,
+            component_block=lambda x, idx: (np.zeros(len(idx)), np.zeros((len(idx), 2))),
+            smoothness=1.0, constraint_smoothness=0.0,
+        )
+        kwargs.update(overrides)
+        return ConstrainedProblem(**kwargs)
+
+    def test_constraint_block_shapes(self):
+        block = lambda x: (np.array([x[0], -1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]))
+        problem = self.build(m=3, constraint_block=block)
+        vals, grads = problem.constraint_values_grads(np.array([0.5, 0.0]))
+        np.testing.assert_array_equal(vals, [0.5, -1.0, 2.0])
+        assert grads.shape == (3, 2)
+
+    def test_rejects_missing_component_block(self):
+        with pytest.raises(ValueError):
+            self.build(component_block=None)
+
+    def test_rejects_constraints_without_block(self):
+        with pytest.raises(ValueError):
+            self.build(m=2)
+
+    def test_rejects_block_without_constraints(self):
+        with pytest.raises(ValueError):
+            self.build(constraint_block=lambda x: (np.zeros(1), np.zeros((1, 2))))
+
+    def test_rejects_negative_m(self):
+        with pytest.raises(ValueError):
+            self.build(m=-1)
 
 
 class TestSfoQuery:
@@ -98,8 +139,8 @@ class TestSfoQuery:
     def test_non_finite_gradient_aborts(self):
         problem = ConstrainedProblem(
             dim=1, n_components=1,
-            component=lambda i, x: (0.0, np.array([np.nan])),
-            constraints=[], smoothness=1.0, constraint_smoothness=0.0,
+            component_block=lambda x, idx: (np.zeros(len(idx)), np.full((len(idx), 1), np.nan)),
+            smoothness=1.0, constraint_smoothness=0.0,
         )
         with pytest.raises(NonFiniteEvaluationError):
             sfo_query(problem, np.array([0.0]), [0])
@@ -108,12 +149,14 @@ class TestSfoQuery:
 class TestFullGradient:
     def test_two_quadratics(self):
         # f_1 = x^2, f_2 = 2x^2 at x=1: (2 + 4)/2 = 3
-        def component(i, x):
-            c = [1.0, 2.0][i]
-            return float(c * x[0] ** 2), np.array([2.0 * c * x[0]])
+        coeffs = np.array([1.0, 2.0])
+
+        def component_block(x, idx):
+            c = coeffs[idx]
+            return c * x[0] ** 2, (2.0 * c * x[0])[:, None]
 
         problem = ConstrainedProblem(
-            dim=1, n_components=2, component=component, constraints=[],
+            dim=1, n_components=2, component_block=component_block,
             smoothness=4.0, constraint_smoothness=0.0,
         )
         np.testing.assert_allclose(full_gradient(problem, np.array([1.0])), [3.0])
@@ -121,11 +164,12 @@ class TestFullGradient:
     def test_symmetric_components_cancel(self):
         centers = np.array([-2.0, -1.0, 1.0, 2.0])
 
-        def component(i, x):
-            return float((x[0] - centers[i]) ** 2), np.array([2.0 * (x[0] - centers[i])])
+        def component_block(x, idx):
+            r = x[0] - centers[idx]
+            return r**2, (2.0 * r)[:, None]
 
         problem = ConstrainedProblem(
-            dim=1, n_components=4, component=component, constraints=[],
+            dim=1, n_components=4, component_block=component_block,
             smoothness=2.0, constraint_smoothness=0.0,
         )
         np.testing.assert_allclose(full_gradient(problem, np.array([0.0])), [0.0], atol=1e-15)
@@ -135,7 +179,7 @@ class TestFullGradient:
         x = np.array([0.4, -1.2, 0.1, 2.0])
         expected = np.zeros(4)
         for i in reversed(range(50)):
-            expected += problem.component(i, x)[1]
+            expected += _component_grad(problem, i, x)
         expected /= 50
         np.testing.assert_allclose(full_gradient(problem, x), expected, rtol=1e-12)
 
@@ -149,8 +193,8 @@ class TestFullGradient:
     def test_streaming_rejected(self):
         problem = ConstrainedProblem(
             dim=1, n_components=0,
-            component=lambda i, x: (0.0, np.zeros(1)),
-            constraints=[], smoothness=1.0, constraint_smoothness=0.0,
+            component_block=lambda x, idx: (np.zeros(len(idx)), np.zeros((len(idx), 1))),
+            smoothness=1.0, constraint_smoothness=0.0,
         )
         with pytest.raises(StreamingUnsupportedError):
             full_gradient(problem, np.zeros(1))
@@ -158,11 +202,11 @@ class TestFullGradient:
 
 class TestBregman:
     def quadratic(self):
-        def component(i, x):
-            return float(0.5 * x[0] ** 2), np.array([x[0]])
+        def component_block(x, idx):
+            return np.full(len(idx), 0.5 * x[0] ** 2), np.full((len(idx), 1), x[0])
 
         return ConstrainedProblem(
-            dim=1, n_components=1, component=component, constraints=[],
+            dim=1, n_components=1, component_block=component_block,
             smoothness=1.0, constraint_smoothness=0.0,
         )
 
@@ -211,8 +255,8 @@ class TestShippedProblemInvariants:
         for _ in range(50):
             u, v = rng.standard_normal(5), rng.standard_normal(5)
             i = int(rng.integers(7))
-            gu = problem.component(i, u)[1]
-            gv = problem.component(i, v)[1]
+            gu = _component_grad(problem, i, u)
+            gv = _component_grad(problem, i, v)
             assert np.linalg.norm(gu - gv) <= problem.smoothness * np.linalg.norm(u - v) + 1e-8
 
     def test_counter_conservation(self):

@@ -13,18 +13,39 @@ from ssqpbench import (
     random_quadratic_problem,
     solve_kkt_quadratic,
     straight_line_path,
-    usv_component,
+    usv_component_block,
 )
 from ssqpbench.problems import InfeasibleToleranceError, load_regression_csv
 
 
-def finite_difference_gradient(fn, x, h=1e-5):
-    grad = np.zeros_like(x)
+def finite_difference_jacobian(fn, x, h=1e-5):
+    """Central differences of every row of a block's values: (rows, d)."""
+    cols = []
     for j in range(len(x)):
         e = np.zeros_like(x)
         e[j] = h
-        grad[j] = (fn(x + e) - fn(x - e)) / (2.0 * h)
-    return grad
+        cols.append((fn(x + e) - fn(x - e)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def assert_block_matches_finite_differences(block, x, rows, rtol=1e-4, atol=1e-6):
+    """block(x) -> (vals (rows,), grads (rows, d)); every gradient row against central differences."""
+    vals, grads = block(x)
+    assert vals.shape == (rows,) and grads.shape == (rows, len(x))
+    fd = finite_difference_jacobian(lambda p: block(p)[0], x)
+    np.testing.assert_allclose(grads, fd, rtol=rtol, atol=atol)
+
+
+def _quadratic_data(problem):
+    """Recover (Q, c, A, b) of a random_quadratic_problem from its block evaluators."""
+    d = problem.dim
+    idx = np.arange(problem.n_components)
+    grad0 = problem.component_values_grads(np.zeros(d), idx)[1].mean(axis=0)
+    q = np.column_stack(
+        [problem.component_values_grads(e, idx)[1].mean(axis=0) - grad0 for e in np.eye(d)]
+    )
+    cvals, a = problem.constraint_values_grads(np.zeros(d))
+    return q, grad0, a, -cvals
 
 
 class TestCurrentEnsemble:
@@ -73,27 +94,46 @@ class TestUsvProblem:
         usv.currents_z[:] = 0.0
         x = straight_line_path(usv)
         step = np.linalg.norm((usv.p_dest - usv.p_start) / (usv.horizon - 1))
-        value, _ = usv_component(usv, 0, x)
-        assert value == pytest.approx((usv.horizon - 1) * step**3, rel=1e-12)
+        values, _ = usv_component_block(usv, x, np.array([0, 2]))
+        np.testing.assert_allclose(values, (usv.horizon - 1) * step**3, rtol=1e-12)
+
+    def test_component_block_values_match_direct_energy(self):
+        problem, usv = make_usv_problem(seed=2, n=4, horizon=8)
+        rng = np.random.default_rng(6)
+        idx = np.array([3, 0, 2, 3, 1])
+        for _ in range(10):
+            x = rng.uniform(20.0, 180.0, size=problem.dim)
+            path = path_from_decision(usv, x)
+            vals, _ = problem.component_values_grads(x, idx)
+            for j, i in enumerate(idx):
+                w, z = usv.currents_w[i], usv.currents_z[i]
+                energy = sum(
+                    np.linalg.norm(path[t] - w @ path[t] - path[t + 1] - z) ** 3
+                    for t in range(usv.horizon - 1)
+                )
+                assert vals[j] == pytest.approx(energy, rel=1e-12)
 
     def test_component_gradient_matches_finite_differences(self):
-        problem, usv = make_usv_problem(seed=2, n=4, horizon=8)
+        problem, _ = make_usv_problem(seed=2, n=4, horizon=8)
         rng = np.random.default_rng(1)
+        idx = np.array([0, 1, 2, 3, 1])
         for _ in range(20):
             x = rng.uniform(20.0, 180.0, size=problem.dim)
-            i = int(rng.integers(4))
-            _, grad = usv_component(usv, i, x)
-            fd = finite_difference_gradient(lambda p: usv_component(usv, i, p)[0], x)
-            np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-3)
+            assert_block_matches_finite_differences(
+                lambda p: problem.component_values_grads(p, idx), x, len(idx), atol=1e-3
+            )
 
     def test_constraint_gradient_matches_finite_differences(self):
-        problem, _ = make_usv_problem(seed=2, n=4, horizon=8)
+        problem, usv = make_usv_problem(seed=2, n=4, horizon=8)
         rng = np.random.default_rng(2)
-        x = rng.uniform(20.0, 180.0, size=problem.dim)
-        for g in problem.constraints[:5]:
-            _, grad = g(x)
-            fd = finite_difference_gradient(lambda p: g(p)[0], x)
-            np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
+        for _ in range(5):
+            x = rng.uniform(20.0, 180.0, size=problem.dim)
+            assert_block_matches_finite_differences(problem.constraint_values_grads, x, usv.m)
+            path = path_from_decision(usv, x)
+            seg = np.sum((path[:-1] - path[1:]) ** 2, axis=1)
+            np.testing.assert_allclose(
+                problem.constraint_values_grads(x)[0], seg - usv.v_max**2, rtol=1e-12
+            )
 
     def test_constraint_smoothness_is_four(self):
         # numerically bound the constraint Hessian: gradient map is 4-Lipschitz
@@ -103,10 +143,8 @@ class TestUsvProblem:
         for _ in range(200):
             u = rng.uniform(0.0, 200.0, size=problem.dim)
             v = rng.uniform(0.0, 200.0, size=problem.dim)
-            for g in problem.constraints:
-                num = np.linalg.norm(g(u)[1] - g(v)[1])
-                den = np.linalg.norm(u - v)
-                worst = max(worst, num / den)
+            diff = problem.constraint_values_grads(u)[1] - problem.constraint_values_grads(v)[1]
+            worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))) / np.linalg.norm(u - v))
         assert worst <= 4.0 + 1e-9
         assert problem.constraint_smoothness == 4.0
 
@@ -159,30 +197,25 @@ class TestRegressionProblem:
         rng = np.random.default_rng(5)
         for _ in range(20):
             theta = rng.standard_normal(8)
-            i = int(rng.integers(60))
-            _, grad = problem.component(i, theta)
-            fd = finite_difference_gradient(lambda p: problem.component(i, p)[0], theta)
-            np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
-        for g in problem.constraints[:3]:
-            theta = rng.standard_normal(8)
-            _, grad = g(theta)
-            fd = finite_difference_gradient(lambda p: g(p)[0], theta)
-            np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6)
+            idx = rng.integers(60, size=4)
+            assert_block_matches_finite_differences(
+                lambda p: problem.component_values_grads(p, idx), theta, len(idx)
+            )
+            assert_block_matches_finite_differences(problem.constraint_values_grads, theta, 10)
 
-    def test_block_paths_agree_with_callables(self):
-        problem, _ = generate_regression_problem(seed=4, d=8, n=60, critical=10, tolerance=5.0)
+    def test_block_values_match_residuals(self):
+        problem, data = generate_regression_problem(seed=4, d=8, n=60, critical=10, tolerance=5.0)
         theta = np.linspace(-1, 1, 8)
-        idx = np.array([0, 5, 17])
-        vals, grads = problem.component_values_grads(theta, idx)
+        idx = np.array([0, 5, 17, 5])
+        vals, _ = problem.component_values_grads(theta, idx)
         for j, i in enumerate(idx):
-            v, g = problem.component(int(i), theta)
-            assert vals[j] == pytest.approx(v, rel=1e-12)
-            np.testing.assert_allclose(grads[j], g, rtol=1e-12)
-        cvals, cgrads = problem.constraint_values_grads(theta)
-        for k, g_k in enumerate(problem.constraints):
-            v, g = g_k(theta)
-            assert cvals[k] == pytest.approx(v, rel=1e-12)
-            np.testing.assert_allclose(cgrads[k], g, rtol=1e-12)
+            row = data.objective_idx[i]
+            resid = float(data.features[row] @ theta) - data.labels[row]
+            assert vals[j] == pytest.approx(0.5 * resid * resid, rel=1e-12)
+        cvals, _ = problem.constraint_values_grads(theta)
+        for k, row in enumerate(data.critical_idx):
+            resid = data.labels[row] - float(data.features[row] @ theta)
+            assert cvals[k] == pytest.approx(resid * resid - data.tolerance, rel=1e-12)
 
     def test_csv_loader_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -230,13 +263,7 @@ class TestReferenceSolvers:
 
     def test_brute_force_matches_kkt_on_quadratic(self):
         problem = random_quadratic_problem(seed=14, dim=3, n=8, m=2)
-        d = problem.dim
-        grad0 = np.mean([problem.component(i, np.zeros(d))[1] for i in range(8)], axis=0)
-        q = np.column_stack(
-            [np.mean([problem.component(i, e)[1] for i in range(8)], axis=0) - grad0 for e in np.eye(d)]
-        )
-        a = np.array([g(np.zeros(d))[1] for g in problem.constraints])
-        b = np.array([-g(np.zeros(d))[0] for g in problem.constraints])
+        q, grad0, a, b = _quadratic_data(problem)
         x_kkt, _ = solve_kkt_quadratic(q, grad0, a, b)
         x_bf, f_bf = brute_force_optimum(problem, gamma=50.0, tol=1e-10)
         np.testing.assert_allclose(x_bf, x_kkt, atol=1e-6)
@@ -244,13 +271,14 @@ class TestReferenceSolvers:
     def test_brute_force_one_d_active_constraint(self):
         from ssqpbench import ConstrainedProblem
 
-        def component(i, x):
-            return float(0.5 * (x[0] - 3.0) ** 2), np.array([x[0] - 3.0])
+        def component_block(x, idx):
+            r = x[0] - 3.0
+            return np.full(len(idx), 0.5 * r**2), np.full((len(idx), 1), r)
 
-        g = lambda x: (float(x[0] - 1.0), np.array([1.0]))
         problem = ConstrainedProblem(
-            dim=1, n_components=1, component=component, constraints=[g],
+            dim=1, n_components=1, component_block=component_block,
             smoothness=1.0, constraint_smoothness=0.0, strong_convexity=1.0,
+            m=1, constraint_block=lambda x: (np.array([x[0] - 1.0]), np.array([[1.0]])),
         )
         x, _ = brute_force_optimum(problem, gamma=10.0, tol=1e-10)
         assert x[0] == pytest.approx(1.0, abs=1e-8)
@@ -259,14 +287,35 @@ class TestReferenceSolvers:
 class TestRandomQuadratic:
     def test_unconstrained_optimum_is_infeasible(self):
         problem = random_quadratic_problem(seed=15, dim=4, n=10, m=3)
-        d = problem.dim
-        grad0 = np.mean([problem.component(i, np.zeros(d))[1] for i in range(10)], axis=0)
-        q = np.column_stack(
-            [np.mean([problem.component(i, e)[1] for i in range(10)], axis=0) - grad0 for e in np.eye(d)]
-        )
+        q, grad0, _, _ = _quadratic_data(problem)
         x_unc = np.linalg.solve(q, -grad0)
-        cvals = np.array([g(x_unc)[0] for g in problem.constraints])
+        cvals, _ = problem.constraint_values_grads(x_unc)
         assert np.any(cvals > 0.0)
+
+    @pytest.mark.parametrize("shape", [{}, {"affine_constraints": False}], ids=["affine", "ball"])
+    def test_blocks_match_finite_differences(self, shape):
+        problem = random_quadratic_problem(seed=17, dim=4, n=9, m=3, **shape)
+        rng = np.random.default_rng(7)
+        idx = np.array([8, 0, 4, 4, 2])
+        for _ in range(10):
+            x = 2.0 * rng.standard_normal(4)
+            assert_block_matches_finite_differences(
+                lambda p: problem.component_values_grads(p, idx), x, len(idx)
+            )
+            assert_block_matches_finite_differences(problem.constraint_values_grads, x, 3)
+
+    def test_component_values_match_recovered_quadratic(self):
+        # f_i(x) - f_i(0) = 0.5 x'Q_i x + b_i'x with Q_i, b_i read off the gradients
+        problem = random_quadratic_problem(seed=18, dim=3, n=5, m=0)
+        rng = np.random.default_rng(8)
+        idx = np.arange(5)
+        f0, g0 = problem.component_values_grads(np.zeros(3), idx)
+        hess = np.stack([problem.component_values_grads(e, idx)[1] - g0 for e in np.eye(3)], axis=2)
+        for _ in range(5):
+            x = rng.standard_normal(3)
+            vals, _ = problem.component_values_grads(x, idx)
+            expected = f0 + 0.5 * np.einsum("j,ijk,k->i", x, hess, x) + g0 @ x
+            np.testing.assert_allclose(vals, expected, rtol=1e-12, atol=1e-12)
 
     def test_strong_convexity_bounds(self):
         problem = random_quadratic_problem(seed=16, dim=5, n=12, mu=0.5, smoothness=4.0)

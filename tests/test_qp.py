@@ -193,6 +193,24 @@ class TestKktResidual:
         assert sol.mu[0] == pytest.approx(0.3, abs=1e-12)
 
 
+class TestZeroSlopes:
+    @pytest.mark.parametrize("offsets", [[2.28], [2.28, 0.9]], ids=["one_row", "two_rows"])
+    def test_constant_hinge_certifies(self, offsets):
+        # every slope is zero: the hinge is the constant max(b) > 0, so u is the
+        # unconstrained prox point, v = max(b) and the whole weight sits on row 0
+        qp = make_qp(
+            rho=0.0065, anchor=[0.4, -1.1], linear=[0.002, -0.003], gamma=1.48,
+            offsets=offsets, slopes=np.zeros((len(offsets), 2)),
+        )
+        sol = solve_canonical_qp(qp)
+        assert sol.converged
+        assert sol.kkt_residual <= 1e-9
+        assert kkt_residual(qp, sol) <= 1e-9
+        np.testing.assert_allclose(sol.u, qp.anchor - qp.linear / qp.rho, rtol=1e-12)
+        assert sol.v == pytest.approx(2.28, rel=1e-12)
+        assert sol.mu[0] == pytest.approx(1.48, rel=1e-12)
+
+
 class TestDenseOracle:
     def test_unconstrained_closed_form(self):
         rng = np.random.default_rng(0)
