@@ -43,7 +43,6 @@ from .algorithms import (
     SkipState,
     SsqpState,
     TraceRow,
-    VarasState,
     ssqp_run,
     ssqp_skip_run,
     ssqp_skip_step,

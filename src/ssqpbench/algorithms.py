@@ -2,15 +2,17 @@
 
 Each loop consumes a ConstrainedProblem through the oracle helpers, builds a
 CanonicalQp per prox-linear step, and emits RunTrace checkpoints with SFO/QMO
-counts and optimality metrics.  Checkpoint metric evaluation is pure
-instrumentation and is not charged to the counters unless configured.
+counts and optimality metrics.  Every loop, the primal-dual baseline included,
+runs on one ``_Run``: it owns the counters, the random streams, the divergence
+guard and the checkpoint rule.  Checkpoint metric evaluation is pure
+instrumentation and is never charged to the counters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,7 +40,6 @@ __all__ = [
     "RunTrace",
     "SsqpState",
     "SkipState",
-    "VarasState",
     "DivergenceError",
     "ssqp_step",
     "ssqp_run",
@@ -92,9 +93,12 @@ class RunTrace:
 class RunConfig:
     """Shared run options for all solver loops.
 
-    Exactly one stopping rule applies: ``horizon`` iterations for SSQP and
-    SSQP-Skip, ``epochs`` for VARAS.  ``f_star``/``x_star`` enable the gap and
-    dist_sq trace columns; unknown metrics are recorded as NaN.
+    Exactly one stopping rule applies: ``horizon`` iterations for SSQP,
+    SSQP-Skip and primal-dual, ``epochs`` for VARAS.  A trace row is recorded
+    at step 0, every ``checkpoint_stride`` steps (epochs for VARAS) and after
+    the last step.  ``f_star``/``x_star`` enable the gap and dist_sq trace
+    columns; unknown metrics are recorded as NaN.  Checkpoint metrics are
+    never charged to the counters.
     """
 
     gamma: float
@@ -109,17 +113,10 @@ class RunConfig:
     f_star: Optional[float] = None
     cost_model_m: float = 1.0
     qp_tol: float = 1e-9
-    charge_checkpoints: bool = False
     record_steps: bool = False
-    # SSQP-Skip only: y-update factor p/(2*eta) as displayed in the update
-    # formulas ("half") or the plain drift ratio p/eta ("full").
-    y_update_factor: str = "half"
     # SSQP-Skip test hook: refresh y to the fresh stochastic gradient each
     # step, which with p = 1 collapses the method to SSQP.
     refresh_y: bool = False
-    # which iterate the trace metrics use for SSQP: "last", "averaged", or
-    # "auto" (averaged under the convex schedule, last otherwise)
-    metric_iterate: str = "auto"
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -131,69 +128,72 @@ class RunConfig:
             raise ValueError("batch size must be >= 1")
         if self.checkpoint_stride < 1:
             raise ValueError("checkpoint stride must be >= 1")
-        if self.y_update_factor not in ("half", "full"):
-            raise ValueError("y_update_factor must be 'half' or 'full'")
-        if self.metric_iterate not in ("auto", "last", "averaged"):
-            raise ValueError("metric_iterate must be auto/last/averaged")
         if self.x_star is not None:
             self.x_star = np.asarray(self.x_star, dtype=float)
 
 
-def _rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """(batch draws, auxiliary coin flips) as independent child streams."""
-    children = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(children[0]), np.random.default_rng(children[1])
+class _Run:
+    """One solver run: counters, random streams, divergence guard and checkpoints.
 
+    ``length`` is the number of steps (iterations, or epochs for VARAS).  Batch
+    indices come from child 0 of ``SeedSequence(config.seed).spawn(2)`` and
+    coin flips from child 1.  Checkpoint metrics are instrumentation only and
+    never touch the counters.
+    """
 
-def _draw_batch(rng: np.random.Generator, problem: ConstrainedProblem, b: int) -> np.ndarray:
-    if problem.is_streaming:
-        return rng.integers(0, np.iinfo(np.int64).max, size=b)
-    return rng.integers(0, problem.n_components, size=b)
-
-
-class _Recorder:
-    """Accumulates checkpoint rows; metric evaluation is instrumentation-only."""
-
-    def __init__(self, problem: ConstrainedProblem, config: RunConfig, counters: OracleCounters):
+    def __init__(self, problem: ConstrainedProblem, config: RunConfig, length: int):
         self.problem = problem
         self.config = config
-        self.counters = counters
+        self.length = length
+        self.counters = OracleCounters()
         self.trace = RunTrace()
+        batch_seed, coin_seed = np.random.SeedSequence(config.seed).spawn(2)
+        self._batch_rng = np.random.default_rng(batch_seed)
+        self._coin_rng = np.random.default_rng(coin_seed)
 
-    def checkpoint(self, iteration: int, x: np.ndarray) -> None:
+    def batch(self, size: Optional[int] = None) -> np.ndarray:
+        """Draw ``size`` component indices (default ``config.batch_size``)."""
+        size = self.config.batch_size if size is None else size
+        high = np.iinfo(np.int64).max if self.problem.is_streaming else self.problem.n_components
+        return self._batch_rng.integers(0, high, size=size)
+
+    def coin(self, p: float) -> bool:
+        """One Bernoulli(p) draw from the coin stream."""
+        return bool(self._coin_rng.random() < p)
+
+    def guard(self, x: np.ndarray, where: str) -> None:
+        if float(np.linalg.norm(x)) > DIVERGENCE_NORM:
+            self.trace.diverged = True
+            raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_NORM:g} during {where}", self.trace)
+
+    def checkpoint(self, step: int, x: np.ndarray) -> None:
+        """Record a row at step 0, every ``checkpoint_stride`` steps and after the last step."""
+        if step % self.config.checkpoint_stride and step != self.length:
+            return
         cfg = self.config
         gap = rel_gap = dist_sq = math.nan
         if not self.problem.is_streaming and cfg.f_star is not None:
-            value = penalty_objective(
-                self.problem, cfg.gamma, x,
-                self.counters if cfg.charge_checkpoints else None,
-            )
-            gap = value - cfg.f_star
+            gap = penalty_objective(self.problem, cfg.gamma, x) - cfg.f_star
             if abs(cfg.f_star) >= 1e-12:
                 rel_gap = gap / cfg.f_star
         if cfg.x_star is not None:
             diff = x - cfg.x_star
             dist_sq = float(diff @ diff)
         report = violation_report(self.problem, x)
-        wall = self.counters.sfo_calls + cfg.cost_model_m * self.counters.qmo_calls
+        counters = self.counters
         self.trace.rows.append(
             TraceRow(
-                iteration=iteration,
-                sfo=self.counters.sfo_calls,
-                qmo=self.counters.qmo_calls,
+                iteration=step,
+                sfo=counters.sfo_calls,
+                qmo=counters.qmo_calls,
                 gap=gap,
                 rel_gap=rel_gap,
                 max_viol=report.max_violation,
                 sum_viol=report.sum_violation,
                 dist_sq=dist_sq,
-                wall=wall,
+                wall=counters.sfo_calls + cfg.cost_model_m * counters.qmo_calls,
             )
         )
-
-    def guard(self, x: np.ndarray, where: str) -> None:
-        if float(np.linalg.norm(x)) > DIVERGENCE_NORM:
-            self.trace.diverged = True
-            raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_NORM:g} during {where}", self.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,6 @@ class SsqpState:
     """Current iterate plus the running stepsize-weighted average."""
 
     x: np.ndarray
-    t: int = 0
     weighted_sum: np.ndarray = None
     weight_total: float = 0.0
     last_qp: Optional[QpSolution] = None
@@ -263,7 +262,6 @@ def ssqp_step(
         counters.qmo_calls += 1
     return SsqpState(
         x=sol.u,
-        t=state.t + 1,
         weighted_sum=state.weighted_sum + eta * sol.u,
         weight_total=state.weight_total + eta,
         last_qp=sol,
@@ -277,29 +275,23 @@ def ssqp_run(
     schedule = config.schedule
     if not isinstance(schedule, (SsqpConvexSchedule, SsqpStronglyConvexSchedule, TunedConstantSchedule)):
         raise TypeError("ssqp_run needs an SSQP schedule")
-    counters = OracleCounters()
-    recorder = _Recorder(problem, config, counters)
-    batch_rng, _ = _rng_streams(config.seed)
+    run = _Run(problem, config, config.horizon)
     state = SsqpState(x=config.x0.copy())
-
-    use_avg = config.metric_iterate == "averaged" or (
-        config.metric_iterate == "auto" and isinstance(schedule, SsqpConvexSchedule)
-    )
-    recorder.checkpoint(0, state.x)
+    # the trace follows the averaged iterate under the convex schedule
+    use_avg = isinstance(schedule, SsqpConvexSchedule)
+    run.checkpoint(0, state.x)
     for t in range(config.horizon):
-        batch = _draw_batch(batch_rng, problem, config.batch_size)
-        sample = sfo_query(problem, state.x, batch, counters)
+        sample = sfo_query(problem, state.x, run.batch(), run.counters)
         eta = schedule.stepsize(t)
         prev_x = state.x
-        state = ssqp_step(state, sample, eta, config.gamma, problem.regularizer, counters, config.qp_tol)
-        recorder.guard(state.x, f"ssqp iteration {t}")
+        state = ssqp_step(state, sample, eta, config.gamma, problem.regularizer, run.counters, config.qp_tol)
+        run.guard(state.x, f"ssqp iteration {t}")
         if config.record_steps:
-            recorder.trace.steps.append(
+            run.trace.steps.append(
                 {"t": t, "x_t": prev_x, "x_next": state.x.copy(), "eta": eta, "sample": sample}
             )
-        if (t + 1) % config.checkpoint_stride == 0 or t + 1 == config.horizon:
-            recorder.checkpoint(t + 1, state.averaged if use_avg else state.x)
-    return state.averaged, state.x, recorder.trace, counters
+        run.checkpoint(t + 1, state.averaged if use_avg else state.x)
+    return state.averaged, state.x, run.trace, run.counters
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +304,6 @@ class SkipState:
 
     x: np.ndarray
     y: np.ndarray
-    t: int = 0
     last_qp: Optional[QpSolution] = None
 
 
@@ -326,14 +317,13 @@ def ssqp_skip_step(
     solve_qp: bool,
     counters: Optional[OracleCounters] = None,
     qp_tol: float = 1e-9,
-    y_update_factor: str = "half",
 ) -> SkipState:
     """One SSQP-Skip step; ``solve_qp`` is the realized Bernoulli(p) draw.
 
     Drift x~ = x - eta*(grad - y); with the QP branch the next iterate solves
     the canonical subproblem with quadratic weight p/(2 eta) anchored at x~ and
     linear term y, otherwise the drift is kept.  The control variate update
-    y += factor*(x_next - x~) vanishes in the skip branch.
+    y += p/(2 eta)*(x_next - x~) vanishes in the skip branch.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
@@ -348,9 +338,8 @@ def ssqp_skip_step(
         last_qp = sol
     else:
         x_next = drift
-    factor = p / (2.0 * eta) if y_update_factor == "half" else p / eta
-    y_next = state.y + factor * (x_next - drift)
-    return SkipState(x=x_next, y=y_next, t=state.t + 1, last_qp=last_qp)
+    y_next = state.y + p / (2.0 * eta) * (x_next - drift)
+    return SkipState(x=x_next, y=y_next, last_qp=last_qp)
 
 
 def ssqp_skip_run(
@@ -362,43 +351,28 @@ def ssqp_skip_run(
         raise TypeError("ssqp_skip_run needs a SkipSchedule")
     if problem.strong_convexity <= 0:
         raise ValueError("SSQP-Skip requires a strongly convex problem (mu > 0)")
-    counters = OracleCounters()
-    recorder = _Recorder(problem, config, counters)
-    batch_rng, coin_rng = _rng_streams(config.seed)
-
+    run = _Run(problem, config, config.horizon)
     x0 = config.x0.copy()
-    init_sample = sfo_query(problem, x0, _draw_batch(batch_rng, problem, config.batch_size), counters)
+    # y0 costs one SFO batch, drawn before row 0
+    init_sample = sfo_query(problem, x0, run.batch(), run.counters)
     state = SkipState(x=x0, y=init_sample.stochastic_gradient.copy())
-    recorder.checkpoint(0, state.x)
+    run.checkpoint(0, state.x)
     for t in range(config.horizon):
-        batch = _draw_batch(batch_rng, problem, config.batch_size)
-        sample = sfo_query(problem, state.x, batch, counters)
+        sample = sfo_query(problem, state.x, run.batch(), run.counters)
         if config.refresh_y:
             state = replace(state, y=sample.stochastic_gradient.copy())
         eta, p = schedule.parameters(t)
-        solve = bool(coin_rng.random() < p)
         state = ssqp_skip_step(
             state, sample, eta, p, config.gamma, problem.regularizer,
-            solve, counters, config.qp_tol, config.y_update_factor,
+            run.coin(p), run.counters, config.qp_tol,
         )
-        recorder.guard(state.x, f"ssqp-skip iteration {t}")
-        if (t + 1) % config.checkpoint_stride == 0 or t + 1 == config.horizon:
-            recorder.checkpoint(t + 1, state.x)
-    return state.x, recorder.trace, counters
+        run.guard(state.x, f"ssqp-skip iteration {t}")
+        run.checkpoint(t + 1, state.x)
+    return state.x, run.trace, run.counters
 
 
 # ---------------------------------------------------------------------------
 # VARAS
-
-
-@dataclass
-class VarasState:
-    """Cross-epoch VARAS state: the snapshot, its full gradient, and z."""
-
-    snapshot: np.ndarray
-    snapshot_gradient: np.ndarray
-    z: np.ndarray
-    epoch: int = 0
 
 
 def _varas_zqp(
@@ -449,36 +423,31 @@ def varas_run(
         raise TypeError("varas_run needs a VarasSchedule")
     if problem.is_streaming:
         raise StreamingUnsupportedError("VARAS needs a finite-sum problem")
-    counters = OracleCounters()
-    recorder = _Recorder(problem, config, counters)
-    batch_rng, _ = _rng_streams(config.seed)
+    run = _Run(problem, config, config.epochs)
+    counters = run.counters
     mu = schedule.mu
     gamma = config.gamma
 
-    state = VarasState(
-        snapshot=config.x0.copy(),
-        snapshot_gradient=np.zeros_like(config.x0),
-        z=config.x0.copy(),
-    )
-    recorder.checkpoint(0, state.snapshot)
+    snapshot = config.x0.copy()
+    z = config.x0.copy()
+    run.checkpoint(0, snapshot)
     last_qp: Optional[QpSolution] = None
     for s in range(1, config.epochs + 1):
-        snap_grad = full_gradient(problem, state.snapshot, counters)
+        snap_grad = full_gradient(problem, snapshot, counters)
         alpha, beta, omega, t_s = schedule.epoch_params(s)
         weights = schedule.normalized_theta(s)
-        x_prev = state.snapshot.copy()
-        z = state.z
+        x_prev = snapshot.copy()
         x_mix = np.zeros_like(x_prev)
         for t in range(1, t_s + 1):
             y = (
                 (1 + mu * beta) * (1 - alpha - omega) * x_prev
                 + alpha * z
-                + (1 + mu * beta) * omega * state.snapshot
+                + (1 + mu * beta) * omega * snapshot
             ) / (1 + mu * beta * (1 - alpha))
             z_plus = (z + mu * beta * y) / (1 + mu * beta)
-            idx = _draw_batch(batch_rng, problem, 1)
-            gvals, ggrads = problem.component_values_grads(y, idx)
-            _, snap_ggrads = problem.component_values_grads(state.snapshot, idx)
+            idx = run.batch(1)
+            _, ggrads = problem.component_values_grads(y, idx)
+            _, snap_ggrads = problem.component_values_grads(snapshot, idx)
             counters.sfo_calls += 1
             n_tilde = ggrads[0] - snap_ggrads[0] + snap_grad
             cvals, cgrads = problem.constraint_values_grads(y)
@@ -490,10 +459,10 @@ def varas_run(
             counters.qmo_calls += 1
             last_qp = sol
             z_new = sol.u
-            x_new = (1 - alpha - omega) * x_prev + alpha * z_new + omega * state.snapshot
+            x_new = (1 - alpha - omega) * x_prev + alpha * z_new + omega * snapshot
             x_mix = x_mix + weights[t - 1] * x_new
             if config.record_steps:
-                recorder.trace.steps.append(
+                run.trace.steps.append(
                     {
                         "s": s, "t": t, "index": int(idx[0]), "y": y,
                         "z_prev": z.copy(), "z_plus": z_plus, "z": z_new.copy(),
@@ -503,11 +472,10 @@ def varas_run(
                 )
             x_prev = x_new
             z = z_new
-            recorder.guard(x_new, f"varas epoch {s} inner {t}")
-        state = VarasState(snapshot=x_mix, snapshot_gradient=snap_grad, z=z, epoch=s)
-        if s % config.checkpoint_stride == 0 or s == config.epochs:
-            recorder.checkpoint(s, state.snapshot)
-    return state.snapshot, recorder.trace, counters
+            run.guard(x_new, f"varas epoch {s} inner {t}")
+        snapshot = x_mix
+        run.checkpoint(s, snapshot)
+    return snapshot, run.trace, counters
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .problem_model import ConstrainedProblem, OracleCounters, SfoSample, sfo_query
-from .algorithms import RunConfig, RunTrace, _Recorder, _draw_batch, _rng_streams
+from .algorithms import RunConfig, RunTrace, _Run
 
 __all__ = ["PrimalDualState", "PrimalDualSchedule", "primal_dual_step", "primal_dual_run"]
 
@@ -46,7 +46,6 @@ class PrimalDualSchedule:
 class PrimalDualState:
     x: np.ndarray
     duals: np.ndarray  # lambda >= 0 componentwise
-    t: int = 0
 
 
 def primal_dual_step(
@@ -72,7 +71,7 @@ def primal_dual_step(
             lag_grad = lag_grad * (clip / norm)
     x_next = regularizer.prox(state.x - eta_x * lag_grad, 1.0 / eta_x)
     duals_next = np.maximum(state.duals + eta_lambda * sample.constraint_values, 0.0)
-    return PrimalDualState(x=x_next, duals=duals_next, t=state.t + 1)
+    return PrimalDualState(x=x_next, duals=duals_next)
 
 
 def primal_dual_run(
@@ -82,19 +81,15 @@ def primal_dual_run(
     schedule = config.schedule
     if not isinstance(schedule, PrimalDualSchedule):
         raise TypeError("primal_dual_run needs a PrimalDualSchedule")
-    counters = OracleCounters()
-    recorder = _Recorder(problem, config, counters)
-    batch_rng, _ = _rng_streams(config.seed)
+    run = _Run(problem, config, config.horizon)
     state = PrimalDualState(x=config.x0.copy(), duals=np.zeros(problem.m))
-    recorder.checkpoint(0, state.x)
+    run.checkpoint(0, state.x)
     for t in range(config.horizon):
-        batch = _draw_batch(batch_rng, problem, config.batch_size)
-        sample = sfo_query(problem, state.x, batch, counters)
+        sample = sfo_query(problem, state.x, run.batch(), run.counters)
         state = primal_dual_step(
             state, sample, schedule.eta_x, schedule.eta_lambda,
             problem.regularizer, schedule.clip,
         )
-        recorder.guard(state.x, f"primal-dual iteration {t}")
-        if (t + 1) % config.checkpoint_stride == 0 or t + 1 == config.horizon:
-            recorder.checkpoint(t + 1, state.x)
-    return state.x, recorder.trace, counters
+        run.guard(state.x, f"primal-dual iteration {t}")
+        run.checkpoint(t + 1, state.x)
+    return state.x, run.trace, run.counters

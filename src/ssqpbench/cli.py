@@ -7,8 +7,11 @@ Subcommands:
   slope <trace.csv>        rate-slope fit over a single trace
 
 Exit codes: 0 success, 2 config error (including unreadable or non-finite
-data files), 3 divergence, 4 reference failure, 5 non-finite oracle
-evaluation (NaN or infinity in a function value or gradient).
+data files and a regression instance whose feasibility LP fails), 3
+divergence, 4 reference failure, 5 non-finite oracle evaluation (NaN or
+infinity in a function value or gradient).  When a run fails part-way, the
+seeds that finish still write their traces, a diverged seed writes its
+partial trace, and metadata.json records every seed's status.
 The SSQPBENCH_OUTPUT_DIR environment variable overrides the config output dir.
 """
 

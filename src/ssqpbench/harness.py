@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .algorithms import (
+    DivergenceError,
     RunConfig,
     TraceRow,
     ssqp_run,
@@ -28,7 +29,7 @@ from .algorithms import (
 )
 from .baselines import PrimalDualSchedule, primal_dual_run
 from .penalty import gamma_from_slater
-from .problem_model import ConstrainedProblem
+from .problem_model import ConstrainedProblem, NonFiniteEvaluationError
 from .problems import (
     brute_force_optimum,
     generate_regression_problem,
@@ -270,7 +271,11 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
     """Execute all configured seeds; writes one trace CSV per seed plus metadata.
 
     Returns the metadata document.  The metadata's ``config`` key fed back to
-    run_experiment reproduces the traces byte-for-byte.
+    run_experiment reproduces the traces byte-for-byte.  A seed that diverges
+    writes its partial trace and a seed whose oracle evaluation is non-finite
+    writes none; the other seeds still run, ``metadata.json`` records each
+    seed's status (``ok``, ``diverged`` or ``non-finite``), and the first such
+    error is then re-raised.
     """
     problem, x0 = build_problem(config)
     schedule = build_schedule(config, problem)
@@ -288,13 +293,16 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
         stride = max(1, math.ceil(span / 500)) if span else 1
 
     trace_files = {}
+    seed_status = {}
+    first_error = None
     started = time.time()
     for seed in config.seeds:
+        fname = f"{config.algorithm}_seed{seed}.csv"
         if config.algorithm != "varas" and config.horizon == 0:
             # degenerate metadata-only run: empty trace per seed
-            fname = f"{config.algorithm}_seed{seed}.csv"
             write_trace(out / fname, [])
             trace_files[seed] = fname
+            seed_status[seed] = "ok"
             continue
         run_cfg = RunConfig(
             gamma=config.gamma,
@@ -309,15 +317,25 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
             f_star=f_star,
             cost_model_m=config.cost_model_m,
         )
-        if config.algorithm == "ssqp":
-            _, _, trace, _ = ssqp_run(problem, run_cfg)
-        elif config.algorithm == "ssqp-skip":
-            _, trace, _ = ssqp_skip_run(problem, run_cfg)
-        elif config.algorithm == "varas":
-            _, trace, _ = varas_run(problem, run_cfg)
-        else:
-            _, trace, _ = primal_dual_run(problem, run_cfg)
-        fname = f"{config.algorithm}_seed{seed}.csv"
+        try:
+            if config.algorithm == "ssqp":
+                _, _, trace, _ = ssqp_run(problem, run_cfg)
+            elif config.algorithm == "ssqp-skip":
+                _, trace, _ = ssqp_skip_run(problem, run_cfg)
+            elif config.algorithm == "varas":
+                _, trace, _ = varas_run(problem, run_cfg)
+            else:
+                _, trace, _ = primal_dual_run(problem, run_cfg)
+            seed_status[seed] = "ok"
+        except DivergenceError as exc:
+            trace = exc.trace
+            seed_status[seed] = "diverged"
+            first_error = first_error or exc
+        except NonFiniteEvaluationError as exc:
+            (out / fname).unlink(missing_ok=True)  # no stale trace from an earlier run
+            seed_status[seed] = "non-finite"
+            first_error = first_error or exc
+            continue
         write_trace(out / fname, trace.rows)
         trace_files[seed] = fname
 
@@ -328,9 +346,12 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
         "checkpoint_stride_resolved": stride,
         "gamma_provenance": config.gamma_provenance,
         "trace_files": {str(k): v for k, v in trace_files.items()},
+        "seed_status": {str(k): v for k, v in seed_status.items()},
         "measured_seconds_informational": time.time() - started,
     }
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+    if first_error is not None:
+        raise first_error
     return meta
 
 

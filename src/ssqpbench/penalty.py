@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem_model import ConstrainedProblem, OracleCounters
+from .problem_model import ConstrainedProblem
 
 __all__ = [
     "ViolationReport",
@@ -46,18 +46,12 @@ def gamma_from_slater(slater_gap: float, slater_margin: float) -> float:
     return slater_gap / slater_margin
 
 
-def penalty_objective(
-    problem: ConstrainedProblem,
-    gamma: float,
-    x: np.ndarray,
-    counters: Optional[OracleCounters] = None,
-) -> float:
+def penalty_objective(problem: ConstrainedProblem, gamma: float, x: np.ndarray) -> float:
     """Merit value F(x) = f(x) + h(x) + gamma * max-hinge of the constraints.
 
     Returns +inf when x is outside the regularizer's domain (the sentinel is
-    detectable via ``math.isinf``; no silent large numbers).  When ``counters``
-    is supplied the full objective pass is charged as n SFO calls; reporting
-    callers leave it None.
+    detectable via ``math.isinf``; no silent large numbers).  It is a reporting
+    helper: the full objective pass is never charged to any oracle counter.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -68,9 +62,6 @@ def penalty_objective(
     h = problem.regularizer.value(x)
     cvals, _ = problem.constraint_values_grads(x)
     hinge = float(max(0.0, cvals.max())) if cvals.size else 0.0
-    if counters is not None:
-        counters.sfo_calls += problem.n_components
-        counters.full_gradient_passes += 1
     return float(f + h + gamma * hinge)
 
 

@@ -137,7 +137,6 @@ class OracleCounters:
 class SfoSample:
     """One oracle response: a batch-mean stochastic gradient plus the full constraint bundle."""
 
-    index_batch: np.ndarray
     stochastic_gradient: np.ndarray
     constraint_values: np.ndarray
     constraint_gradients: np.ndarray
@@ -253,7 +252,6 @@ def sfo_query(
     if counters is not None:
         counters.sfo_calls += int(batch.size)
     return SfoSample(
-        index_batch=batch,
         stochastic_gradient=grad,
         constraint_values=cvals,
         constraint_gradients=cgrads,

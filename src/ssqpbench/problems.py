@@ -240,6 +240,10 @@ class InfeasibleToleranceError(ValueError):
         self.minimal = minimal
 
 
+class FeasibilityLpError(ValueError):
+    """The Chebyshev feasibility LP behind the minimal residual cap did not solve."""
+
+
 def minimal_feasible_tolerance(features: np.ndarray, labels: np.ndarray) -> float:
     """Smallest r for which some theta satisfies (y_k - x_k theta)^2 <= r for all k.
 
@@ -258,7 +262,7 @@ def minimal_feasible_tolerance(features: np.ndarray, labels: np.ndarray) -> floa
     b_ub = np.concatenate([-labels, labels])
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * d + [(0, None)])
     if not res.success:
-        raise RuntimeError(f"feasibility LP failed: {res.message}")
+        raise FeasibilityLpError(f"feasibility LP failed: {res.message}")
     return float(res.x[-1] ** 2)
 
 

@@ -35,7 +35,6 @@ from ssqpbench import (
     three_point_audit,
     varas_run,
 )
-from ssqpbench.algorithms import _draw_batch, _rng_streams
 from ssqpbench.baselines import PrimalDualSchedule, primal_dual_run
 from ssqpbench.harness import (
     BenchConfig,
@@ -560,11 +559,12 @@ class TestAcceptance:
             qp_tol=1e-12,
         )
         _, x_ssqp, trace, _ = ssqp_run(problem, config)
-        rng, _ = _rng_streams(7)
+        # the run's batch stream is child 0 of SeedSequence(seed).spawn(2)
+        rng = np.random.default_rng(np.random.SeedSequence(7).spawn(2)[0])
         x = np.zeros(4)
         sgd_defect = 0.0
         for rec in trace.steps:
-            batch = _draw_batch(rng, problem, 1)
+            batch = rng.integers(0, problem.n_components, size=1)
             grad = sfo_query(problem, x, batch).stochastic_gradient
             x = x - 0.05 * grad
             sgd_defect = max(sgd_defect, float(np.max(np.abs(rec["x_next"] - x))))
@@ -583,11 +583,11 @@ class TestAcceptance:
             seed=11, refresh_y=True,
         )
         x_skip, _, _ = ssqp_skip_run(problem_b, skip_cfg)
-        rng, _ = _rng_streams(11)
-        _draw_batch(rng, problem_b, 1)  # consumed by the y0 initialization
+        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0])
+        rng.integers(0, problem_b.n_components, size=1)  # consumed by the y0 initialization
         state = SsqpState(x=np.zeros(3))
         for t in range(horizon):
-            batch = _draw_batch(rng, problem_b, 1)
+            batch = rng.integers(0, problem_b.n_components, size=1)
             sample = sfo_query(problem_b, state.x, batch)
             eta, _ = schedule.parameters(t)
             state = ssqp_step(state, sample, eta, 2.0, problem_b.regularizer)

@@ -8,6 +8,7 @@ from ssqpbench import (
     ConstrainedProblem,
     DivergenceError,
     OracleCounters,
+    PrimalDualSchedule,
     RunConfig,
     SkipSchedule,
     SsqpConvexSchedule,
@@ -17,6 +18,7 @@ from ssqpbench import (
     VarasSchedule,
     Zero,
     dense_oracle_qp,
+    primal_dual_run,
     sfo_query,
     solve_kkt_quadratic,
     ssqp_run,
@@ -25,8 +27,12 @@ from ssqpbench import (
     three_point_audit,
     varas_run,
 )
-from ssqpbench.algorithms import _draw_batch, _rng_streams
 from ssqpbench.problems import random_quadratic_problem
+
+
+def batch_stream(seed):
+    """The run's batch stream: child 0 of SeedSequence(seed).spawn(2)."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
 
 
 def toy_problem(center=3.0, mu=1.0):
@@ -124,10 +130,10 @@ class TestSsqpRun:
         _, last, _, _ = ssqp_run(problem, config)
 
         # reference SGD with the identical batch stream
-        rng, _ = _rng_streams(7)
+        rng = batch_stream(7)
         x = np.zeros(3)
         for _ in range(200):
-            batch = _draw_batch(rng, problem, 1)
+            batch = rng.integers(0, problem.n_components, size=1)
             g = sfo_query(problem, x, batch).stochastic_gradient
             x = x - 0.05 * g
         np.testing.assert_allclose(last, x, atol=1e-10)
@@ -233,11 +239,11 @@ class TestSsqpSkip:
         # with p = 1 and y refreshed each step, the drift cancels and the QP
         # weight p/eta equals SSQP's 1/eta: run SSQP on the same batch stream
         # shifted by the initial y0 draw
-        rng, _ = _rng_streams(11)
-        _draw_batch(rng, problem, 1)  # consumed by the y0 initialization
+        rng = batch_stream(11)
+        rng.integers(0, problem.n_components, size=1)  # consumed by the y0 initialization
         state = SsqpState(x=np.zeros(3))
         for t in range(horizon):
-            batch = _draw_batch(rng, problem, 1)
+            batch = rng.integers(0, problem.n_components, size=1)
             sample = sfo_query(problem, state.x, batch)
             eta, _ = skip_sched.parameters(t)
             state = ssqp_step(state, sample, eta, 2.0, problem.regularizer)
@@ -354,6 +360,37 @@ class TestVaras:
         config = RunConfig(gamma=1.0, schedule=sched, x0=np.zeros(1), epochs=2)
         with pytest.raises(Exception):
             varas_run(problem, config)
+
+
+def checkpoint_case(algorithm, problem):
+    """(run function, config, expected iteration column) for one loop."""
+    mu, smooth = problem.strong_convexity, problem.smoothness
+    x0 = np.zeros(problem.dim)
+    if algorithm == "varas":
+        schedule = VarasSchedule(n=problem.n_components, mu=mu, smoothness_gamma=smooth)
+        config = RunConfig(gamma=1.0, schedule=schedule, x0=x0, epochs=7, checkpoint_stride=3)
+        return varas_run, config, [0, 3, 6, 7]
+    run, schedule = {
+        "ssqp": (ssqp_run, TunedConstantSchedule(eta=0.05)),
+        "ssqp-skip": (ssqp_skip_run, SkipSchedule(mu=mu, smoothness=smooth)),
+        "primal-dual": (primal_dual_run, PrimalDualSchedule(eta_x=0.05, eta_lambda=0.05)),
+    }[algorithm]
+    config = RunConfig(gamma=1.0, schedule=schedule, x0=x0, horizon=23, checkpoint_stride=5)
+    return run, config, [0, 5, 10, 15, 20, 23]
+
+
+class TestCheckpointRule:
+    @pytest.mark.parametrize("algorithm", ["ssqp", "ssqp-skip", "varas", "primal-dual"])
+    def test_rows_at_start_every_stride_and_last_step(self, algorithm):
+        problem = random_quadratic_problem(seed=2, dim=3, n=6)
+        run, config, expected = checkpoint_case(algorithm, problem)
+        out = run(problem, config)
+        trace, counters = out[-2], out[-1]
+        assert trace.column("iteration").tolist() == expected
+        # only Skip pays before row 0: one batch for its control variate y0
+        assert trace.rows[0].sfo == (1 if algorithm == "ssqp-skip" else 0)
+        assert trace.rows[0].qmo == 0
+        assert (trace.rows[-1].sfo, trace.rows[-1].qmo) == (counters.sfo_calls, counters.qmo_calls)
 
 
 class TestThreePointAudit:

@@ -13,7 +13,6 @@ from ssqpbench import (
     sfo_query,
 )
 from ssqpbench.baselines import PrimalDualSchedule, PrimalDualState
-from ssqpbench.algorithms import _draw_batch, _rng_streams
 from ssqpbench.problems import random_quadratic_problem
 
 
@@ -115,10 +114,11 @@ class TestPrimalDualRun:
         )
         x_run, _, _ = primal_dual_run(problem, config)
 
-        rng, _ = _rng_streams(9)
+        # the run's batch stream is child 0 of SeedSequence(seed).spawn(2)
+        rng = np.random.default_rng(np.random.SeedSequence(9).spawn(2)[0])
         x = np.zeros(4)
         for _ in range(150):
-            batch = _draw_batch(rng, problem, 1)
+            batch = rng.integers(0, problem.n_components, size=1)
             g = sfo_query(problem, x, batch).stochastic_gradient
             x = problem.regularizer.prox(x - 0.03 * g, 1.0 / 0.03)
         np.testing.assert_allclose(x_run, x, atol=1e-12)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -318,3 +319,46 @@ class TestCli:
             horizon=2000, output_dir=str(tmp_path / "out"),
         )
         assert cli_main(["run", str(cfg)]) == 3
+
+    def test_partial_run_leaves_consistent_manifest(self, tmp_path):
+        # both seeds diverge: each still writes its partial trace, and the
+        # metadata records both even though the run exits with code 3
+        out = tmp_path / "out"
+        cfg = self.write_config(
+            tmp_path, schedule={"kind": "tuned_constant", "eta": 1e6},
+            horizon=2000, seeds=[0, 1], output_dir=str(out),
+        )
+        assert cli_main(["run", str(cfg)]) == 3
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["seed_status"] == {"0": "diverged", "1": "diverged"}
+        assert meta["trace_files"] == {"0": "ssqp_seed0.csv", "1": "ssqp_seed1.csv"}
+        for fname in meta["trace_files"].values():
+            rows = read_trace(out / fname)
+            assert rows[0].iteration == 0
+            assert rows[-1].iteration < 2000
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_seed_leaves_no_trace(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ssqp_seed0.csv").write_text("stale\n")
+        problem = {"kind": "usv", "seed": 0, "n": 3, "horizon": 5, "z_scale": 1e200}
+        cfg = self.write_config(tmp_path, problem=problem, output_dir=str(out))
+        assert cli_main(["run", str(cfg)]) == 5
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["seed_status"] == {"0": "non-finite"}
+        assert meta["trace_files"] == {}
+        assert not list(out.glob("*.csv"))
+
+    def test_failed_feasibility_lp_exit_code(self, tmp_path, capsys, monkeypatch):
+        import ssqpbench.problems
+
+        def failing_linprog(*args, **kwargs):
+            return SimpleNamespace(success=False, message="solver gave up")
+
+        monkeypatch.setattr(ssqpbench.problems, "linprog", failing_linprog)
+        problem = {"kind": "regression", "seed": 4, "d": 3, "n": 20, "critical": 4,
+                   "tolerance": 5.0}
+        cfg = self.write_config(tmp_path, problem=problem, output_dir=str(tmp_path / "out"))
+        assert cli_main(["run", str(cfg)]) == 2
+        assert "feasibility LP failed" in capsys.readouterr().err

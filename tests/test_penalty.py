@@ -8,7 +8,6 @@ import pytest
 from ssqpbench import (
     BoxIndicator,
     ConstrainedProblem,
-    OracleCounters,
     gamma_from_slater,
     penalty_objective,
     violation_report,
@@ -89,14 +88,6 @@ class TestPenaltyObjective:
     def test_domain_violation_is_inf_sentinel(self):
         problem = one_d_problem([], regularizer=BoxIndicator(np.array([0.0]), np.array([1.0])))
         assert math.isinf(penalty_objective(problem, 1.0, np.array([2.0])))
-
-    def test_counting_is_opt_in(self):
-        problem = one_d_problem([affine_constraint(1.0, -1.0)])
-        counters = OracleCounters()
-        penalty_objective(problem, 1.0, np.array([0.5]))
-        assert counters.sfo_calls == 0
-        penalty_objective(problem, 1.0, np.array([0.5]), counters)
-        assert counters.sfo_calls == problem.n_components
 
     def test_monotone_in_gamma_when_infeasible(self):
         problem = one_d_problem([affine_constraint(1.0, -1.0)])
