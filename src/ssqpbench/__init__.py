@@ -75,7 +75,6 @@ from .harness import (
     BenchConfig,
     ConfigError,
     calls_to_threshold,
-    compute_reference,
     read_trace,
     run_experiment,
     slope_fit,

@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 DIVERGENCE_NORM = 1e12
+# values drawn at a time from each random stream of a run
+_CHUNK = 4096
 
 
 class DivergenceError(RuntimeError):
@@ -137,8 +139,10 @@ class _Run:
 
     ``length`` is the number of steps (iterations, or epochs for VARAS).  Batch
     indices come from child 0 of ``SeedSequence(config.seed).spawn(2)`` and
-    coin flips from child 1.  Checkpoint metrics are instrumentation only and
-    never touch the counters.
+    coin flips from child 1.  Both streams are drawn ``_CHUNK`` values at a
+    time and served in order: a bulk draw yields the same values as the
+    per-call draws it replaces.  Checkpoint metrics are instrumentation only
+    and never touch the counters.
     """
 
     def __init__(self, problem: ConstrainedProblem, config: RunConfig, length: int):
@@ -150,19 +154,36 @@ class _Run:
         batch_seed, coin_seed = np.random.SeedSequence(config.seed).spawn(2)
         self._batch_rng = np.random.default_rng(batch_seed)
         self._coin_rng = np.random.default_rng(coin_seed)
+        self._high = np.iinfo(np.int64).max if problem.is_streaming else problem.n_components
+        self._indices = np.empty(0, dtype=np.int64)
+        self._index_pos = 0
+        self._coins: list[float] = []
+        self._coin_pos = 0
 
     def batch(self, size: Optional[int] = None) -> np.ndarray:
-        """Draw ``size`` component indices (default ``config.batch_size``)."""
+        """Next ``size`` component indices (default ``config.batch_size``), as a read-only view."""
         size = self.config.batch_size if size is None else size
-        high = np.iinfo(np.int64).max if self.problem.is_streaming else self.problem.n_components
-        return self._batch_rng.integers(0, high, size=size)
+        pos = self._index_pos
+        if pos + size > len(self._indices):
+            fresh = self._batch_rng.integers(0, self._high, size=max(_CHUNK, size))
+            self._indices = np.concatenate((self._indices[pos:], fresh))
+            self._indices.flags.writeable = False
+            pos = 0
+        self._index_pos = pos + size
+        return self._indices[pos : pos + size]
 
     def coin(self, p: float) -> bool:
         """One Bernoulli(p) draw from the coin stream."""
-        return bool(self._coin_rng.random() < p)
+        if self._coin_pos == len(self._coins):
+            self._coins = self._coin_rng.random(_CHUNK).tolist()
+            self._coin_pos = 0
+        u = self._coins[self._coin_pos]
+        self._coin_pos += 1
+        return bool(u < p)
 
     def guard(self, x: np.ndarray, where: str) -> None:
-        if float(np.linalg.norm(x)) > DIVERGENCE_NORM:
+        # the 2-norm of a 1-D array, computed as np.linalg.norm does
+        if math.sqrt(float(x @ x)) > DIVERGENCE_NORM:
             self.trace.diverged = True
             raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_NORM:g} during {where}", self.trace)
 
@@ -323,7 +344,9 @@ def ssqp_skip_step(
     Drift x~ = x - eta*(grad - y); with the QP branch the next iterate solves
     the canonical subproblem with quadratic weight p/(2 eta) anchored at x~ and
     linear term y, otherwise the drift is kept.  The control variate update
-    y += p/(2 eta)*(x_next - x~) vanishes in the skip branch.
+    y += p/(2 eta)*(x_next - x~) vanishes in the skip branch.  Only the QP
+    branch reads the sample's constraint bundle, so a skipped step may pass a
+    gradient-only sample.
     """
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
@@ -345,7 +368,13 @@ def ssqp_skip_step(
 def ssqp_skip_run(
     problem: ConstrainedProblem, config: RunConfig
 ) -> tuple[np.ndarray, RunTrace, OracleCounters]:
-    """Run SSQP-Skip for config.horizon steps; returns (last iterate, trace, counters)."""
+    """Run SSQP-Skip for config.horizon steps; returns (last iterate, trace, counters).
+
+    Each step draws its coin before its oracle call (the coin and batch
+    streams are separate, so no draw moves).  The constraint bundle is
+    evaluated only on steps whose coin solves the QP; the initial sample for
+    y0 and the skipped steps evaluate the gradient alone.
+    """
     schedule = config.schedule
     if not isinstance(schedule, SkipSchedule):
         raise TypeError("ssqp_skip_run needs a SkipSchedule")
@@ -354,17 +383,18 @@ def ssqp_skip_run(
     run = _Run(problem, config, config.horizon)
     x0 = config.x0.copy()
     # y0 costs one SFO batch, drawn before row 0
-    init_sample = sfo_query(problem, x0, run.batch(), run.counters)
+    init_sample = sfo_query(problem, x0, run.batch(), run.counters, constraints=False)
     state = SkipState(x=x0, y=init_sample.stochastic_gradient.copy())
     run.checkpoint(0, state.x)
     for t in range(config.horizon):
-        sample = sfo_query(problem, state.x, run.batch(), run.counters)
+        eta, p = schedule.parameters(t)
+        solve_qp = run.coin(p)
+        sample = sfo_query(problem, state.x, run.batch(), run.counters, constraints=solve_qp)
         if config.refresh_y:
             state = replace(state, y=sample.stochastic_gradient.copy())
-        eta, p = schedule.parameters(t)
         state = ssqp_skip_step(
             state, sample, eta, p, config.gamma, problem.regularizer,
-            run.coin(p), run.counters, config.qp_tol,
+            solve_qp, run.counters, config.qp_tol,
         )
         run.guard(state.x, f"ssqp-skip iteration {t}")
         run.checkpoint(t + 1, state.x)

@@ -7,11 +7,12 @@ Subcommands:
   slope <trace.csv>        rate-slope fit over a single trace
 
 Exit codes: 0 success, 2 config error (including unreadable or non-finite
-data files and a regression instance whose feasibility LP fails), 3
-divergence, 4 reference failure, 5 non-finite oracle evaluation (NaN or
-infinity in a function value or gradient).  When a run fails part-way, the
-seeds that finish still write their traces, a diverged seed writes its
-partial trace, and metadata.json records every seed's status.
+data files and a regression instance whose feasibility LP fails, under run
+and reference alike), 3 divergence, 4 reference solve failure, 5 non-finite
+oracle evaluation (NaN or infinity in a function value or gradient).  When a
+run fails part-way, the seeds that finish still write their traces, a
+diverged seed writes its partial trace, metadata.json records every seed's
+status, and stderr names the directory they are in.
 The SSQPBENCH_OUTPUT_DIR environment variable overrides the config output dir.
 """
 
@@ -24,11 +25,12 @@ from pathlib import Path
 
 from .algorithms import DivergenceError
 from .problem_model import NonFiniteEvaluationError
+from .problems import brute_force_optimum
 from .harness import (
     BenchConfig,
     ConfigError,
+    build_problem,
     calls_to_threshold,
-    compute_reference,
     read_trace,
     resolve_output_dir,
     run_experiment,
@@ -61,15 +63,22 @@ def _load_config(path: str, args: argparse.Namespace) -> BenchConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
     out = resolve_output_dir(config)
-    meta = run_experiment(config, out)
+    try:
+        meta = run_experiment(config, out)
+    except (DivergenceError, NonFiniteEvaluationError):
+        # run_experiment raises these only after every seed ran and metadata.json was written
+        print(f"run failed part-way; metadata.json and the partial traces are in {out}", file=sys.stderr)
+        raise
     print(f"wrote {len(meta['trace_files'])} trace(s) to {out}")
     return EXIT_OK
 
 
 def _cmd_reference(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
+    # an instance that cannot be built is a config error (exit 2), as under run
+    problem, x0 = build_problem(config)
     try:
-        x_star, f_star = compute_reference(config, tol=args.tol)
+        x_star, f_star = brute_force_optimum(problem, config.gamma, x0=x0, tol=args.tol)
     except Exception as exc:
         print(f"reference solve failed: {exc}", file=sys.stderr)
         return EXIT_REFERENCE

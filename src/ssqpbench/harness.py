@@ -31,7 +31,6 @@ from .baselines import PrimalDualSchedule, primal_dual_run
 from .penalty import gamma_from_slater
 from .problem_model import ConstrainedProblem, NonFiniteEvaluationError
 from .problems import (
-    brute_force_optimum,
     generate_regression_problem,
     load_regression_csv,
     make_usv_problem,
@@ -54,7 +53,6 @@ __all__ = [
     "read_trace",
     "run_experiment",
     "resolve_output_dir",
-    "compute_reference",
     "calls_to_threshold",
     "slope_fit",
     "wall_clock_model",
@@ -257,14 +255,6 @@ def resolve_output_dir(config: BenchConfig) -> Path:
     """Directory run_experiment writes to: SSQPBENCH_OUTPUT_DIR if set, else the config's."""
     override = os.environ.get(OUTPUT_DIR_ENV)
     return Path(override) if override else Path(config.output_dir)
-
-
-def compute_reference(
-    config: BenchConfig, tol: float = 1e-10
-) -> tuple[np.ndarray, float]:
-    """Reference (x_star, F_star) by the deterministic full-gradient solve."""
-    problem, x0 = build_problem(config)
-    return brute_force_optimum(problem, config.gamma, x0=x0, tol=tol)
 
 
 def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None) -> dict:

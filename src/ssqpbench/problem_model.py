@@ -135,11 +135,14 @@ class OracleCounters:
 
 @dataclass
 class SfoSample:
-    """One oracle response: a batch-mean stochastic gradient plus the full constraint bundle."""
+    """One oracle response: a batch-mean stochastic gradient plus the full constraint bundle.
+
+    The bundle fields are None when the query asked for the gradient only.
+    """
 
     stochastic_gradient: np.ndarray
-    constraint_values: np.ndarray
-    constraint_gradients: np.ndarray
+    constraint_values: Optional[np.ndarray]
+    constraint_gradients: Optional[np.ndarray]
     sfo_cost: int
 
 
@@ -219,8 +222,8 @@ class ConstrainedProblem:
 # Oracle operations
 
 
-def _check_finite(arr, what: str):
-    if not np.all(np.isfinite(arr)):
+def _check_finite(arr: np.ndarray, what: str):
+    if not np.isfinite(arr).all():
         raise NonFiniteEvaluationError(f"non-finite {what}; problem ill-posed or run diverged")
 
 
@@ -229,33 +232,40 @@ def sfo_query(
     x: np.ndarray,
     batch: Sequence[int],
     counters: Optional[OracleCounters] = None,
+    constraints: bool = True,
 ) -> SfoSample:
     """One SFO call: batch-mean gradient of f plus all constraint values/gradients at x.
 
     Costs ``len(batch)`` SFO units; the constraint bundle is free under the
-    oracle model used throughout.
+    oracle model used throughout.  With ``constraints=False`` the bundle is
+    not evaluated and the sample's constraint fields are None: SSQP-Skip asks
+    for that on the steps whose coin skips the QP, which never read it.
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x, "query point")
     batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
+    b = batch.size
+    if b == 0:
         raise ValueError("batch must be nonempty")
     if not problem.is_streaming:
-        if np.any(batch < 0) or np.any(batch >= problem.n_components):
+        if batch.min() < 0 or batch.max() >= problem.n_components:
             raise IndexError("component index out of range")
     _, grads = problem.component_values_grads(x, batch)
-    grad = grads.mean(axis=0)
+    # bit for bit what grads.mean(axis=0) computes
+    grad = np.add.reduce(grads, axis=0) / b
     _check_finite(grad, "stochastic gradient")
-    cvals, cgrads = problem.constraint_values_grads(x)
-    _check_finite(cvals, "constraint value")
-    _check_finite(cgrads, "constraint gradient")
+    cvals = cgrads = None
+    if constraints:
+        cvals, cgrads = problem.constraint_values_grads(x)
+        _check_finite(cvals, "constraint value")
+        _check_finite(cgrads, "constraint gradient")
     if counters is not None:
-        counters.sfo_calls += int(batch.size)
+        counters.sfo_calls += b
     return SfoSample(
         stochastic_gradient=grad,
         constraint_values=cvals,
         constraint_gradients=cgrads,
-        sfo_cost=int(batch.size),
+        sfo_cost=b,
     )
 
 

@@ -287,8 +287,9 @@ def _build_regression(
     y_crit = labels[critical_idx]
 
     def component_block(theta: np.ndarray, idx: np.ndarray):
-        resid = x_obj[idx] @ theta - y_obj[idx]
-        return 0.5 * resid * resid, resid[:, None] * x_obj[idx]
+        rows = x_obj[idx]
+        resid = rows @ theta - y_obj[idx]
+        return 0.5 * resid * resid, resid[:, None] * rows
 
     def constraint_block(theta: np.ndarray):
         resid = y_crit - x_crit @ theta

@@ -15,6 +15,7 @@ an active-set polish step, and certifies the answer by its KKT residual.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -258,6 +259,8 @@ def _solve_pattern_system(
 
 def _refine_pattern(qp: CanonicalQp, u: np.ndarray, mu: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     reg = qp.regularizer
+    if isinstance(reg, Zero):
+        return pattern.copy()
     s = qp.rho * (u - qp.anchor) + qp.linear
     if qp.m:
         s = s + qp.slopes.T @ mu
@@ -318,9 +321,14 @@ def _pattern_iteration(
     return u, mu, v
 
 
-def _assemble(qp: CanonicalQp, u, mu, v, active, converged=True, sweeps=0) -> QpSolution:
+def _assemble(qp: CanonicalQp, u, mu, v, active, converged=True, sweeps=0, objective=math.nan) -> QpSolution:
+    """Candidate solution with its KKT residual.
+
+    The objective is left NaN unless given: candidates are compared by KKT
+    residual only, and ``solve_canonical_qp`` evaluates the objective of the
+    one it returns.
+    """
     mu = np.maximum(mu, 0.0) if mu.size else mu
-    r = _hinge_values(qp, u)
     if v <= 0.0:
         v = 0.0
     dual_v = 0.0 if v > 0 else max(qp.hinge_weight - mu.sum(), 0.0)
@@ -331,7 +339,7 @@ def _assemble(qp: CanonicalQp, u, mu, v, active, converged=True, sweeps=0) -> Qp
         dual_v=float(dual_v),
         kkt_residual=np.inf,
         active_set=tuple(int(k) for k in active),
-        objective=qp_objective(qp, u),
+        objective=objective,
         converged=converged,
         sweeps=sweeps,
     )
@@ -388,6 +396,15 @@ def solve_canonical_qp(
     """
     if not (0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
+    sol = _best_candidate(qp, tol, max_sweeps, warm)
+    sol.objective = qp_objective(qp, sol.u)
+    return sol
+
+
+def _best_candidate(
+    qp: CanonicalQp, tol: float, max_sweeps: int, warm: Optional[QpSolution]
+) -> QpSolution:
+    """The first candidate that certifies to ``tol``, else the one with the least KKT residual."""
     d, m = qp.dim, qp.m
 
     u0 = _primal_from_dual(qp, np.zeros(m))
@@ -437,7 +454,7 @@ def solve_canonical_qp(
             t_acc = 1.0
             mom = mu_new.copy()
         else:
-            t_next = 0.5 * (1 + np.sqrt(1 + 4 * t_acc * t_acc))
+            t_next = 0.5 * (1 + math.sqrt(1 + 4 * t_acc * t_acc))
             mom = mu_new + ((t_acc - 1) / t_next) * (mu_new - mu)
             t_acc = t_next
         mu = mu_new
@@ -581,7 +598,7 @@ def dense_oracle_qp(qp: CanonicalQp) -> QpSolution:
     u0 = _primal_from_dual(qp, np.zeros(qp.m))
     if qp.m == 0 or qp.hinge_weight == 0.0:
         v0 = max(0.0, float(_hinge_values(qp, u0).max())) if qp.m else 0.0
-        return _assemble(qp, u0, np.zeros(qp.m), v0, np.empty(0, dtype=int))
+        return _assemble(qp, u0, np.zeros(qp.m), v0, np.empty(0, dtype=int), objective=qp_objective(qp, u0))
 
     # (subset, v_pos, seed bytes) -> (objective, u, mu, v, act), None if not finite
     solved: dict[tuple, Optional[tuple]] = {}
@@ -603,7 +620,7 @@ def dense_oracle_qp(qp: CanonicalQp) -> QpSolution:
         found = [solved[key] for key in keys if solved[key] is not None]
         best_obj = min(cand[0] for cand in found)
         cutoff = best_obj + 1e-12 * max(1.0, abs(best_obj))
-        tied = [_assemble(qp, *cand[1:]) for cand in found if cand[0] <= cutoff]
+        tied = [_assemble(qp, *cand[1:], objective=cand[0]) for cand in found if cand[0] <= cutoff]
         return min(tied, key=lambda sol: sol.kkt_residual)
 
     fixed_seeds = [_coordinate_pattern(qp, u0, 1e-12), np.zeros(qp.dim, dtype=int)]

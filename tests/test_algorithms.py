@@ -27,6 +27,7 @@ from ssqpbench import (
     three_point_audit,
     varas_run,
 )
+from ssqpbench.algorithms import _CHUNK, _Run
 from ssqpbench.problems import random_quadratic_problem
 
 
@@ -391,6 +392,74 @@ class TestCheckpointRule:
         assert trace.rows[0].sfo == (1 if algorithm == "ssqp-skip" else 0)
         assert trace.rows[0].qmo == 0
         assert (trace.rows[-1].sfo, trace.rows[-1].qmo) == (counters.sfo_calls, counters.qmo_calls)
+
+
+class TestRunStreams:
+    """``_Run`` serves pre-drawn chunks; each draw must equal the per-call draw it replaces."""
+
+    @staticmethod
+    def run_and_streams(problem, seed=5, batch_size=1):
+        config = RunConfig(gamma=1.0, schedule=None, x0=np.zeros(problem.dim), horizon=1,
+                           batch_size=batch_size, seed=seed)
+        batch_seed, coin_seed = np.random.SeedSequence(seed).spawn(2)
+        return _Run(problem, config, 1), np.random.default_rng(batch_seed), np.random.default_rng(coin_seed)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [1] * (_CHUNK + 7),
+            [4] * (_CHUNK // 4 + 9),
+            [1, 4, 3, 7, 2] * (_CHUNK // 8),
+            [3, _CHUNK + 5, 1, 6],
+        ],
+        ids=["size1", "size4", "mixed", "over-chunk"],
+    )
+    def test_batch_matches_per_call_draws(self, sizes):
+        assert sum(sizes) > _CHUNK
+        problem = random_quadratic_problem(seed=2, dim=3, n=450)
+        run, batch_rng, _ = self.run_and_streams(problem)
+        for size in sizes:
+            np.testing.assert_array_equal(run.batch(size), batch_rng.integers(0, 450, size=size))
+
+    def test_default_size_is_config_batch_size(self):
+        problem = random_quadratic_problem(seed=2, dim=3, n=100)
+        run, batch_rng, _ = self.run_and_streams(problem, batch_size=4)
+        for _ in range(_CHUNK // 4 + 3):
+            np.testing.assert_array_equal(run.batch(), batch_rng.integers(0, 100, size=4))
+
+    def test_streaming_batch_matches_per_call_draws(self):
+        problem = ConstrainedProblem(
+            dim=1, n_components=0,
+            component_block=lambda x, idx: (np.zeros(len(idx)), np.zeros((len(idx), 1))),
+            smoothness=1.0, constraint_smoothness=0.0,
+        )
+        run, batch_rng, _ = self.run_and_streams(problem)
+        high = np.iinfo(np.int64).max
+        for size in [1, 4, 2] * (_CHUNK // 3):
+            np.testing.assert_array_equal(run.batch(size), batch_rng.integers(0, high, size=size))
+
+    def test_coin_matches_per_call_draws(self):
+        problem = random_quadratic_problem(seed=2, dim=3, n=10)
+        run, _, coin_rng = self.run_and_streams(problem)
+        ps = np.random.default_rng(1).random(2 * _CHUNK + 11)
+        flips = [run.coin(p) for p in ps]
+        assert flips == [bool(coin_rng.random() < p) for p in ps]
+        assert 0 < sum(flips) < len(flips)
+
+    def test_streams_are_independent(self):
+        # the coin stream never shifts the batch stream, whatever the interleaving
+        problem = random_quadratic_problem(seed=2, dim=3, n=450)
+        run, batch_rng, _ = self.run_and_streams(problem)
+        for t in range(_CHUNK + 50):
+            if t % 3 == 0:
+                run.coin(0.5)
+            np.testing.assert_array_equal(run.batch(1), batch_rng.integers(0, 450, size=1))
+
+    def test_served_batches_are_read_only(self):
+        problem = random_quadratic_problem(seed=2, dim=3, n=10)
+        run, _, _ = self.run_and_streams(problem)
+        with pytest.raises(ValueError):
+            run.batch(2)[0] = 0
 
 
 class TestThreePointAudit:

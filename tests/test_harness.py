@@ -320,7 +320,7 @@ class TestCli:
         )
         assert cli_main(["run", str(cfg)]) == 3
 
-    def test_partial_run_leaves_consistent_manifest(self, tmp_path):
+    def test_partial_run_leaves_consistent_manifest(self, tmp_path, capsys):
         # both seeds diverge: each still writes its partial trace, and the
         # metadata records both even though the run exits with code 3
         out = tmp_path / "out"
@@ -329,6 +329,9 @@ class TestCli:
             horizon=2000, seeds=[0, 1], output_dir=str(out),
         )
         assert cli_main(["run", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "divergence:" in err
+        assert f"metadata.json and the partial traces are in {out}" in err
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["seed_status"] == {"0": "diverged", "1": "diverged"}
         assert meta["trace_files"] == {"0": "ssqp_seed0.csv", "1": "ssqp_seed1.csv"}
@@ -362,3 +365,30 @@ class TestCli:
         cfg = self.write_config(tmp_path, problem=problem, output_dir=str(tmp_path / "out"))
         assert cli_main(["run", str(cfg)]) == 2
         assert "feasibility LP failed" in capsys.readouterr().err
+        # the reference subcommand builds the same instance, so it is the same config error
+        assert cli_main(["reference", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "feasibility LP failed" in err and "reference solve failed" not in err
+
+    def test_failed_reference_solve_exit_code(self, tmp_path, capsys, monkeypatch):
+        import ssqpbench.cli
+        import ssqpbench.problems
+
+        built = []
+        linprog = ssqpbench.problems.linprog
+
+        def recording_linprog(*args, **kwargs):
+            built.append(1)
+            return linprog(*args, **kwargs)
+
+        def failing_solve(*args, **kwargs):
+            raise RuntimeError("reference solve did not reach tol")
+
+        monkeypatch.setattr(ssqpbench.problems, "linprog", recording_linprog)
+        monkeypatch.setattr(ssqpbench.cli, "brute_force_optimum", failing_solve)
+        problem = {"kind": "regression", "seed": 4, "d": 3, "n": 20, "critical": 4,
+                   "tolerance": 5.0}
+        cfg = self.write_config(tmp_path, problem=problem)
+        assert cli_main(["reference", str(cfg)]) == 4
+        assert built  # the instance was built before the solve failed
+        assert "reference solve failed" in capsys.readouterr().err

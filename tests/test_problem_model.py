@@ -9,11 +9,14 @@ from ssqpbench import (
     ConstrainedProblem,
     NonFiniteEvaluationError,
     OracleCounters,
+    RunConfig,
+    SkipSchedule,
     StreamingUnsupportedError,
     Zero,
     bregman_divergence,
     full_gradient,
     sfo_query,
+    ssqp_skip_run,
 )
 from ssqpbench.problems import random_quadratic_problem
 
@@ -144,6 +147,84 @@ class TestSfoQuery:
         )
         with pytest.raises(NonFiniteEvaluationError):
             sfo_query(problem, np.array([0.0]), [0])
+
+
+class TestLeanSfoQuery:
+    """The cheaper checks in ``sfo_query`` keep every exception and the exact mean."""
+
+    @staticmethod
+    def constrained_problem(cval=0.0, cgrad=1.0):
+        return ConstrainedProblem(
+            dim=1, n_components=2,
+            component_block=lambda x, idx: (np.zeros(len(idx)), np.full((len(idx), 1), x[0])),
+            smoothness=1.0, constraint_smoothness=0.0,
+            m=1, constraint_block=lambda x: (np.array([cval]), np.array([[cgrad]])),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_point(self, bad):
+        with pytest.raises(NonFiniteEvaluationError, match="query point"):
+            sfo_query(self.constrained_problem(), np.array([bad]), [0])
+
+    def test_non_finite_constraint_value(self):
+        with pytest.raises(NonFiniteEvaluationError, match="constraint value"):
+            sfo_query(self.constrained_problem(cval=np.nan), np.array([0.0]), [0])
+
+    def test_non_finite_constraint_gradient(self):
+        with pytest.raises(NonFiniteEvaluationError, match="constraint gradient"):
+            sfo_query(self.constrained_problem(cgrad=np.inf), np.array([0.0]), [0])
+
+    def test_negative_index(self):
+        with pytest.raises(IndexError):
+            sfo_query(two_component_problem(), np.array([0.0]), [0, -1])
+
+    def test_gradient_only_query_skips_the_bundle(self):
+        calls = []
+
+        def constraint_block(x):
+            calls.append(x)
+            return np.array([np.nan]), np.array([[np.nan]])
+
+        problem = ConstrainedProblem(
+            dim=1, n_components=2,
+            component_block=lambda x, idx: (np.zeros(len(idx)), np.full((len(idx), 1), 2.0)),
+            smoothness=1.0, constraint_smoothness=0.0, m=1, constraint_block=constraint_block,
+        )
+        counters = OracleCounters()
+        sample = sfo_query(problem, np.array([0.0]), [0, 1], counters, constraints=False)
+        assert calls == []
+        assert sample.constraint_values is None and sample.constraint_gradients is None
+        np.testing.assert_array_equal(sample.stochastic_gradient, [2.0])
+        assert counters.sfo_calls == sample.sfo_cost == 2
+
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_mean_is_bitwise_ndarray_mean(self, b):
+        problem = random_quadratic_problem(seed=4, dim=6, n=20)
+        rng = np.random.default_rng(b)
+        for _ in range(20):
+            x = rng.standard_normal(6)
+            idx = rng.integers(0, 20, size=b)
+            _, grads = problem.component_values_grads(x, idx)
+            got = sfo_query(problem, x, idx).stochastic_gradient
+            assert got.tobytes() == grads.mean(axis=0).tobytes()
+
+    def test_skip_run_evaluates_the_bundle_only_for_qps_and_rows(self):
+        problem = random_quadratic_problem(seed=4, dim=3, n=8, m=2)
+        calls = []
+        block = problem.constraint_block
+
+        def counted(x):
+            calls.append(1)
+            return block(x)
+
+        problem.constraint_block = counted
+        sched = SkipSchedule(mu=problem.strong_convexity, smoothness=problem.smoothness)
+        config = RunConfig(gamma=5.0, schedule=sched, x0=np.zeros(3), horizon=400,
+                           checkpoint_stride=7, seed=2)
+        _, trace, counters = ssqp_skip_run(problem, config)
+        assert 0 < counters.qmo_calls < config.horizon
+        # no f_star: each row evaluates the bundle once, for its violation columns
+        assert len(calls) == counters.qmo_calls + len(trace.rows)
 
 
 class TestFullGradient:
