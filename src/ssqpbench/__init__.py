@@ -57,6 +57,7 @@ from .baselines import (
     primal_dual_step,
 )
 from .problems import (
+    ReferenceSolveError,
     ResidualRegressionProblem,
     UsvProblem,
     brute_force_optimum,

@@ -55,11 +55,12 @@ _CHUNK = 4096
 
 
 class DivergenceError(RuntimeError):
-    """Iterates exceeded the divergence guard; carries the partial trace."""
+    """Iterates exceeded the divergence guard; carries the partial trace and the run's counters."""
 
-    def __init__(self, message: str, trace: "RunTrace"):
+    def __init__(self, message: str, trace: "RunTrace", counters: Optional[OracleCounters] = None):
         super().__init__(message)
         self.trace = trace
+        self.counters = counters
 
 
 @dataclass
@@ -185,7 +186,9 @@ class _Run:
         # the 2-norm of a 1-D array, computed as np.linalg.norm does
         if math.sqrt(float(x @ x)) > DIVERGENCE_NORM:
             self.trace.diverged = True
-            raise DivergenceError(f"iterate norm exceeded {DIVERGENCE_NORM:g} during {where}", self.trace)
+            raise DivergenceError(
+                f"iterate norm exceeded {DIVERGENCE_NORM:g} during {where}", self.trace, self.counters
+            )
 
     def checkpoint(self, step: int, x: np.ndarray) -> None:
         """Record a row at step 0, every ``checkpoint_stride`` steps and after the last step."""
@@ -281,6 +284,8 @@ def ssqp_step(
     sol = solve_canonical_qp(qp, tol=qp_tol, warm=state.last_qp)
     if counters is not None:
         counters.qmo_calls += 1
+        if not sol.converged:
+            counters.qmo_nonconverged += 1
     return SsqpState(
         x=sol.u,
         weighted_sum=state.weighted_sum + eta * sol.u,
@@ -357,6 +362,8 @@ def ssqp_skip_step(
         sol = solve_canonical_qp(qp, tol=qp_tol, warm=state.last_qp)
         if counters is not None:
             counters.qmo_calls += 1
+            if not sol.converged:
+                counters.qmo_nonconverged += 1
         x_next = sol.u
         last_qp = sol
     else:
@@ -487,6 +494,8 @@ def varas_run(
             )
             sol = solve_canonical_qp(qp, tol=config.qp_tol, warm=last_qp)
             counters.qmo_calls += 1
+            if not sol.converged:
+                counters.qmo_nonconverged += 1
             last_qp = sol
             z_new = sol.u
             x_new = (1 - alpha - omega) * x_prev + alpha * z_new + omega * snapshot

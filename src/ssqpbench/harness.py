@@ -264,8 +264,9 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
     run_experiment reproduces the traces byte-for-byte.  A seed that diverges
     writes its partial trace and a seed whose oracle evaluation is non-finite
     writes none; the other seeds still run, ``metadata.json`` records each
-    seed's status (``ok``, ``diverged`` or ``non-finite``), and the first such
-    error is then re-raised.
+    seed's status (``ok``, ``diverged`` or ``non-finite``) and, under
+    ``qp_nonconverged``, its count of QMO answers that did not certify (null
+    for a non-finite seed); the first such error is then re-raised.
     """
     problem, x0 = build_problem(config)
     schedule = build_schedule(config, problem)
@@ -284,6 +285,7 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
 
     trace_files = {}
     seed_status = {}
+    qp_nonconverged = {}
     first_error = None
     started = time.time()
     for seed in config.seeds:
@@ -293,6 +295,7 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
             write_trace(out / fname, [])
             trace_files[seed] = fname
             seed_status[seed] = "ok"
+            qp_nonconverged[seed] = 0
             continue
         run_cfg = RunConfig(
             gamma=config.gamma,
@@ -309,23 +312,25 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
         )
         try:
             if config.algorithm == "ssqp":
-                _, _, trace, _ = ssqp_run(problem, run_cfg)
+                _, _, trace, counters = ssqp_run(problem, run_cfg)
             elif config.algorithm == "ssqp-skip":
-                _, trace, _ = ssqp_skip_run(problem, run_cfg)
+                _, trace, counters = ssqp_skip_run(problem, run_cfg)
             elif config.algorithm == "varas":
-                _, trace, _ = varas_run(problem, run_cfg)
+                _, trace, counters = varas_run(problem, run_cfg)
             else:
-                _, trace, _ = primal_dual_run(problem, run_cfg)
+                _, trace, counters = primal_dual_run(problem, run_cfg)
             seed_status[seed] = "ok"
         except DivergenceError as exc:
-            trace = exc.trace
+            trace, counters = exc.trace, exc.counters
             seed_status[seed] = "diverged"
             first_error = first_error or exc
         except NonFiniteEvaluationError as exc:
             (out / fname).unlink(missing_ok=True)  # no stale trace from an earlier run
             seed_status[seed] = "non-finite"
+            qp_nonconverged[seed] = None
             first_error = first_error or exc
             continue
+        qp_nonconverged[seed] = counters.qmo_nonconverged
         write_trace(out / fname, trace.rows)
         trace_files[seed] = fname
 
@@ -337,6 +342,7 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
         "gamma_provenance": config.gamma_provenance,
         "trace_files": {str(k): v for k, v in trace_files.items()},
         "seed_status": {str(k): v for k, v in seed_status.items()},
+        "qp_nonconverged": {str(k): v for k, v in qp_nonconverged.items()},
         "measured_seconds_informational": time.time() - started,
     }
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")

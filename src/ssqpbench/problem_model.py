@@ -126,11 +126,17 @@ Regularizer = Zero | BoxIndicator | L1
 
 @dataclass
 class OracleCounters:
-    """Monotone SFO/QMO call counts; a full gradient pass adds n SFO calls."""
+    """Monotone SFO/QMO call counts; a full gradient pass adds n SFO calls.
+
+    ``qmo_nonconverged`` counts the QMO answers whose KKT residual did not
+    certify to the requested tolerance (``QpSolution.converged`` false); the
+    run still uses them.
+    """
 
     sfo_calls: int = 0
     qmo_calls: int = 0
     full_gradient_passes: int = 0
+    qmo_nonconverged: int = 0
 
 
 @dataclass
@@ -143,7 +149,6 @@ class SfoSample:
     stochastic_gradient: np.ndarray
     constraint_values: Optional[np.ndarray]
     constraint_gradients: Optional[np.ndarray]
-    sfo_cost: int
 
 
 ComponentBlock = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -265,7 +270,6 @@ def sfo_query(
         stochastic_gradient=grad,
         constraint_values=cvals,
         constraint_gradients=cgrads,
-        sfo_cost=b,
     )
 
 

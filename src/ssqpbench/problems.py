@@ -35,6 +35,7 @@ __all__ = [
     "minimal_feasible_tolerance",
     "random_quadratic_problem",
     "brute_force_optimum",
+    "ReferenceSolveError",
     "solve_kkt_quadratic",
 ]
 
@@ -439,6 +440,10 @@ def _row_dots(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ y[..., None])[:, 0, 0]
 
 
+class ReferenceSolveError(RuntimeError):
+    """``brute_force_optimum`` did not reach its tolerance within its iteration budget."""
+
+
 def brute_force_optimum(
     problem: ConstrainedProblem,
     gamma: float,
@@ -454,7 +459,8 @@ def brute_force_optimum(
     prox-linear map minimizes the penalty objective for any stepsize, so the
     stopping rule move/eta <= tol is valid without the theorem's conservative
     stepsize bound).  Returns (x_star, F_star).  Counters are untouched
-    (instrumentation).
+    (instrumentation).  Raises ``ReferenceSolveError`` when the iteration
+    budget runs out first.
     """
     x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     step = eta if eta is not None else 1.0 / problem.smoothness
@@ -521,7 +527,7 @@ def brute_force_optimum(
             break
         step *= 1.25  # probe a larger step; backtracking undoes overshoots
     if not converged:
-        raise RuntimeError(f"reference solve did not reach tol={tol:g} in {max_iters} iterations")
+        raise ReferenceSolveError(f"reference solve did not reach tol={tol:g} in {max_iters} iterations")
     return x, penalty_objective(problem, gamma, x)
 
 

@@ -7,17 +7,20 @@ Canonical form:
 
 equivalently a QP over (u, v >= 0) with the m epigraph constraints
 b_k + <A_k, u> <= v.  The quadratic is diagonal and h is separable, so the
-primal is available in closed form from the duals; the solver runs accelerated
-projected gradient ascent on the dual simplex {mu >= 0, sum mu <= Gamma} with
-an active-set polish step, and certifies the answer by its KKT residual.
+primal is available in closed form from the duals.  The solver is a finite
+dual active-set method (Goldfarb--Idnani) on the hinge duals in the capped
+simplex {mu >= 0, sum mu <= Gamma} and the regularizer's coordinate duals,
+warm-started from the previous solution's active set.  Each step solves one
+reduced (Schur-complement) KKT system; the answer is certified once, by its
+KKT residual.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,7 +86,7 @@ class QpSolution:
     active_set: tuple[int, ...]
     objective: float
     converged: bool = True
-    sweeps: int = 0
+    sweeps: int = 0  # first-order dual sweeps spent; the active-set solver takes none
 
 
 def _hinge_values(qp: CanonicalQp, u: np.ndarray) -> np.ndarray:
@@ -104,21 +107,6 @@ def qp_objective(qp: CanonicalQp, u: np.ndarray) -> float:
 def _primal_from_dual(qp: CanonicalQp, mu: np.ndarray) -> np.ndarray:
     shift = qp.linear if qp.m == 0 else qp.linear + qp.slopes.T @ mu
     return qp.regularizer.prox(qp.anchor - shift / qp.rho, qp.rho)
-
-
-def _project_dual(mu: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {mu >= 0, sum mu <= cap}."""
-    clipped = np.maximum(mu, 0.0)
-    if clipped.sum() <= cap:
-        return clipped
-    # project onto the simplex {mu >= 0, sum mu = cap}
-    srt = np.sort(mu)[::-1]
-    css = np.cumsum(srt) - cap
-    idx = np.arange(1, len(mu) + 1)
-    cond = srt - css / idx > 0
-    k = idx[cond][-1]
-    tau = css[k - 1] / k
-    return np.maximum(mu - tau, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +153,7 @@ def kkt_residual(qp: CanonicalQp, sol: QpSolution, activity_tol: float = 1e-9) -
 
 
 # ---------------------------------------------------------------------------
-# Active-set polish
+# Pattern systems
 
 
 def _coordinate_pattern(qp: CanonicalQp, u: np.ndarray, tol: float) -> np.ndarray:
@@ -321,7 +309,7 @@ def _pattern_iteration(
     return u, mu, v
 
 
-def _assemble(qp: CanonicalQp, u, mu, v, active, converged=True, sweeps=0, objective=math.nan) -> QpSolution:
+def _assemble(qp: CanonicalQp, u, mu, v, active, objective=math.nan) -> QpSolution:
     """Candidate solution with its KKT residual.
 
     The objective is left NaN unless given: candidates are compared by KKT
@@ -340,40 +328,9 @@ def _assemble(qp: CanonicalQp, u, mu, v, active, converged=True, sweeps=0, objec
         kkt_residual=np.inf,
         active_set=tuple(int(k) for k in active),
         objective=objective,
-        converged=converged,
-        sweeps=sweeps,
     )
     sol.kkt_residual = kkt_residual(qp, sol)
     return sol
-
-
-def _polish_candidates(
-    qp: CanonicalQp, u: np.ndarray, sweeps: int, seen: Optional[set[tuple]] = None
-) -> Iterator[QpSolution]:
-    """Guess active sets around u at several thresholds and solve each exactly.
-
-    Lazy: a candidate is solved only when the caller asks for it, so a caller
-    that stops at the first certifying candidate solves no more.  Candidates
-    whose key (active set, epigraph case, coordinate pattern) is in ``seen``
-    are skipped.
-    """
-    r = _hinge_values(qp, u)
-    v_est = max(0.0, float(r.max())) if qp.m else 0.0
-    scale = 1.0 + abs(v_est)
-    seen = set() if seen is None else seen
-    for thr in (1e-10, 1e-7, 1e-5, 1e-3):
-        act = np.flatnonzero(r >= v_est - thr * scale) if qp.m else np.empty(0, dtype=int)
-        pattern = _coordinate_pattern(qp, u, thr)
-        v_cases = [False] if (len(act) == 0 or qp.hinge_weight == 0) else [True, False]
-        if v_est <= thr * scale and True in v_cases:
-            v_cases = [False, True]
-        for v_pos in v_cases:
-            key = (tuple(act), v_pos, tuple(pattern))
-            if key in seen:
-                continue
-            seen.add(key)
-            uu, mm, vv = _pattern_iteration(qp, act, v_pos, pattern)
-            yield _assemble(qp, uu, mm, vv, act, sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -383,95 +340,177 @@ def _polish_candidates(
 def solve_canonical_qp(
     qp: CanonicalQp,
     tol: float = 1e-9,
-    max_sweeps: int = 10_000,
     warm: Optional[QpSolution] = None,
 ) -> QpSolution:
     """Solve the canonical subproblem to a KKT residual of at most tol.
 
-    ``warm`` may carry the previous iteration's solution; its duals and active
-    set seed the solve.  Its active set is polished first, so the solve takes
-    a single pattern solve when the active set is unchanged.  On budget
-    exhaustion the dense test oracle is used as a fallback for small
-    instances; otherwise the best iterate is returned with ``converged=False``.
+    ``warm`` may carry the previous iteration's solution; its active set and
+    duals start the dual active-set loop, so the solve takes a single pattern
+    solve when the active set is unchanged.  If the loop's answer does not
+    certify, the dense test oracle is used as a fallback for small instances;
+    otherwise the answer is returned with ``converged=False``.
     """
     if not (0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
-    sol = _best_candidate(qp, tol, max_sweeps, warm)
+    m = qp.m
+    u0 = _primal_from_dual(qp, np.zeros(m))
+    hinge0 = max(0.0, float(_hinge_values(qp, u0).max())) if m else 0.0
+    sol = None
+    # the prox point solves the QP when the hinge costs nothing or is slack there
+    if m == 0 or qp.hinge_weight == 0.0 or hinge0 == 0.0:
+        sol = _assemble(qp, u0, np.zeros(m), hinge0, np.empty(0, dtype=int))
+    if sol is None or (m and qp.hinge_weight and sol.kkt_residual > tol):
+        sol = _dual_active_set(qp, tol, warm, u0)
+        if sol.kkt_residual > tol and max(m, qp.dim) <= _DENSE_LIMIT:
+            oracle = dense_oracle_qp(qp)
+            sol = oracle if oracle.kkt_residual <= tol else sol
+        sol.converged = bool(sol.kkt_residual <= tol)
     sol.objective = qp_objective(qp, sol.u)
     return sol
 
 
-def _best_candidate(
-    qp: CanonicalQp, tol: float, max_sweeps: int, warm: Optional[QpSolution]
-) -> QpSolution:
-    """The first candidate that certifies to ``tol``, else the one with the least KKT residual."""
-    d, m = qp.dim, qp.m
+def _dual_bounds(qp: CanonicalQp, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds that a Box or L1 pattern puts on the coordinate duals y = rho*(u - w) + l + A^T mu.
 
-    u0 = _primal_from_dual(qp, np.zeros(m))
-    if m == 0 or qp.hinge_weight == 0.0:
-        v0 = max(0.0, float(_hinge_values(qp, u0).max())) if m else 0.0
-        return _assemble(qp, u0, np.zeros(m), v0, np.empty(0, dtype=int))
+    A free Box coordinate has y = 0 and a pinned one the sign that holds u in
+    the box (any sign when lower == upper); a nonzero L1 coordinate has
+    y = -weight*pattern and a zero one |y| <= weight.
+    """
+    reg = qp.regularizer
+    if isinstance(reg, L1):
+        fixed = -reg.weight * pattern
+        return np.where(pattern == 0, -reg.weight, fixed), np.where(pattern == 0, reg.weight, fixed)
+    lo, hi = np.where(pattern > 0, -np.inf, 0.0), np.where(pattern < 0, np.inf, 0.0)
+    fixed = reg.lower * np.ones(qp.dim) == reg.upper
+    lo[fixed], hi[fixed] = -np.inf, np.inf
+    return lo, hi
 
-    best: Optional[QpSolution] = None
 
-    def consider(sol: QpSolution) -> bool:
-        nonlocal best
-        if best is None or sol.kkt_residual < best.kkt_residual:
-            best = sol
-        return sol.kkt_residual <= tol
+def _face_violations(qp: CanonicalQp, pattern: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """How far each unpinned coordinate violates its face: a free Box coordinate
+    outside the box, a nonzero L1 coordinate of the wrong sign."""
+    reg = qp.regularizer
+    if isinstance(reg, L1):
+        return np.where(pattern != 0, -pattern * u, -np.inf)
+    return np.where(pattern == 0, np.maximum(reg.lower - u, u - reg.upper), -np.inf)
 
-    # feasible shortcut: hinge slack at the unconstrained prox point
-    if float(_hinge_values(qp, u0).max()) <= 0.0:
-        if consider(_assemble(qp, u0, np.zeros(m), 0.0, np.empty(0, dtype=int))):
-            return best
 
+def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0: np.ndarray) -> QpSolution:
+    """Goldfarb--Idnani dual active-set loop on the epigraph QP; returns the assembled solution.
+
+    A primal active-set method (Nocedal & Wright alg. 16.3) on the dual: a
+    concave quadratic in the hinge duals mu, on {mu >= 0, sum mu <= Gamma},
+    and the coordinate duals y (``_dual_bounds``).  The working set is the
+    hinges held at equality, ``capped`` (sum mu = Gamma held, i.e. v >= 0
+    released; v is the cap's multiplier) and the coordinate pattern.  Each
+    step moves the duals towards the working set's pattern-system solution
+    until one reaches its bound and leaves, or the cap joins (ratio test); at
+    a full step the most violated hinge, v >= 0 or coordinate face joins, until
+    none is violated by more than tol / 10.  A system with no solution
+    (dependent hinge rows) leaves a working-hinge residual in the null space
+    of the dual Hessian, an ascent ray that the ratio test alone steps along.
+    The dual objective never decreases, so the loop is finite; a step cap
+    guards against rounding.
+    """
+    m, gamma, reg = qp.m, qp.hinge_weight, qp.regularizer
+    eps = 0.1 * tol
+    work = np.zeros(m, dtype=bool)
+    mu = np.zeros(m)
+    capped, u = False, u0
     if warm is not None:
-        # the warm solution's own active set first: unchanged in most steps
-        act = np.asarray(warm.active_set, dtype=int)
-        v_pos = warm.v > 0 and len(act) > 0
-        pattern = _coordinate_pattern(qp, warm.u, 1e-10)
-        if consider(_assemble(qp, *_pattern_iteration(qp, act, v_pos, pattern), act)):
-            return best
-        seen = {(warm.active_set, v_pos, tuple(pattern))}
-        for sol in _polish_candidates(qp, warm.u, sweeps=0, seen=seen):
-            if consider(sol):
-                return best
-
-    # accelerated projected gradient ascent on the dual
-    lip = float(np.linalg.norm(qp.slopes, 2)) ** 2 / qp.rho
-    # all-zero slopes leave u independent of mu, so any finite step serves; a
-    # near-infinite one would cancel the cap away in the simplex projection
-    step = 1.0 / lip if lip > 0.0 else qp.rho
-    mu = _project_dual(warm.mu.copy(), qp.hinge_weight) if warm is not None else np.zeros(m)
-    mom = mu.copy()
-    t_acc = 1.0
-    poll = 8
-    for sweep in range(1, max_sweeps + 1):
-        u = _primal_from_dual(qp, mom)
-        grad = qp.offsets + qp.slopes @ u
-        mu_new = _project_dual(mom + step * grad, qp.hinge_weight)
-        if (mom - mu_new) @ (mu_new - mu) > 0:  # adaptive restart
-            t_acc = 1.0
-            mom = mu_new.copy()
+        work[list(warm.active_set)] = True
+        capped, u = warm.v > 0 and bool(work.any()), warm.u
+        mu[work] = np.maximum(warm.mu[work], 0.0)
+        total = mu.sum()
+        if capped or total > gamma:  # start from a feasible dual point
+            mu[work] = mu[work] * (gamma / total) if total > 0.0 else gamma / work.sum()
+    pattern = _coordinate_pattern(qp, u, 1e-12 if warm is None else 1e-10)
+    coords = not isinstance(reg, Zero)
+    if coords:
+        lo, hi = _dual_bounds(qp, pattern)
+        y = np.clip(qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu, lo, hi)
+    for _ in range(10 * (m + qp.dim + 1)):  # finite in exact arithmetic; the cap guards rounding
+        act = np.flatnonzero(work)
+        u, mu_t, v = _solve_pattern_system(qp, act, capped, pattern)
+        slack = _hinge_values(qp, u) - v
+        # a working-hinge residual above rounding (relative 1e-8 of the terms
+        # of b + A u - v) means the system has no solution
+        dev = np.abs(slack[act]).max(initial=0.0)
+        ray = False
+        if dev > eps:
+            terms = np.abs(qp.offsets[act]) + np.abs(qp.slopes[act]) @ np.abs(u)
+            ray = dev > 1e-8 * (1.0 + abs(v) + float(terms.max()))
+        step = np.where(work, slack, 0.0) if ray else mu_t - mu
+        # each bounded dual's slack c >= 0 and rate dc along the step: the
+        # working hinges (labels k < m), the cap (m), the coordinates (m + 1 + i)
+        c = [mu[act], [np.inf if capped else gamma - mu.sum()]]
+        dc = [step[act], [-step.sum()]]
+        labels = [act, [m]]
+        if coords:
+            dy = qp.slopes.T @ step if ray else qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu_t - y
+            bounded = np.flatnonzero(lo < hi)
+            c.append(np.where(dy > 0.0, hi - y, y - lo)[bounded])
+            dc.append(-np.abs(dy[bounded]))
+            labels.append(m + 1 + bounded)
+        c, dc = np.concatenate(c), np.concatenate(dc)
+        blocking = np.flatnonzero((dc < 0.0 if ray else c + dc < -eps) & (c < np.inf))
+        alpha = np.inf
+        if blocking.size:
+            with np.errstate(over="ignore"):  # a subnormal rate gives an infinite ratio
+                ratios = c[blocking] / -dc[blocking]
+            j = int(np.argmin(ratios))
+            alpha, leaving = float(ratios[j]), int(np.concatenate(labels)[blocking[j]])
+        if alpha < np.inf:
+            mu = np.maximum(mu + alpha * step, 0.0)
+            if leaving == m:
+                capped = True
+            elif leaving < m:
+                work[leaving] = False
+                mu[leaving] = 0.0
+            else:
+                i = leaving - m - 1
+                pattern[i] = 0 if isinstance(reg, BoxIndicator) else -int(np.sign(dy[i]))
+            if coords:
+                lo, hi = _dual_bounds(qp, pattern)
+                y = np.clip(y + alpha * dy, lo, hi)
+            continue
+        if ray:  # unbounded: only rounding gets here
+            break
+        # full step to the working set's solution: add the most violated constraint
+        mu = np.maximum(mu_t, 0.0)
+        slack[act] = -np.inf
+        violation = [slack, [-v if capped else -np.inf]]
+        if coords:
+            y = np.clip(y + dy, lo, hi)
+            violation.append(_face_violations(qp, pattern, u))
+        violation = np.concatenate(violation)
+        j = int(np.argmax(violation))
+        if violation[j] <= eps:
+            break
+        if j == m:
+            capped = False
+        elif j < m:
+            work[j] = True
         else:
-            t_next = 0.5 * (1 + math.sqrt(1 + 4 * t_acc * t_acc))
-            mom = mu_new + ((t_acc - 1) / t_next) * (mu_new - mu)
-            t_acc = t_next
-        mu = mu_new
-        if sweep % poll == 0 or sweep == max_sweeps:
-            u_cur = _primal_from_dual(qp, mu)
-            for sol in _polish_candidates(qp, u_cur, sweeps=sweep):
-                if consider(sol):
-                    return best
-            poll = min(poll * 2, 256)
-
-    if m <= _DENSE_LIMIT and d <= _DENSE_LIMIT:
-        oracle = dense_oracle_qp(qp)
-        if consider(oracle):
-            return best
-    assert best is not None
-    best.converged = False
-    return best
+            i = j - m - 1
+            pattern[i] = 0 if isinstance(reg, L1) else (1 if u[i] > np.broadcast_to(reg.upper, u.shape)[i] else -1)
+            lo, hi = _dual_bounds(qp, pattern)
+            y = np.clip(y, lo, hi)
+    act = np.flatnonzero(work)
+    box = isinstance(reg, BoxIndicator)
+    sol = _assemble(qp, np.clip(u, reg.lower, reg.upper) if box else u, mu, v, act)
+    if sol.kkt_residual > tol:
+        # a tight tol can sit below the rounding of u = (r_F - A_F^T mu) / rho:
+        # one step of iterative refinement solves the same system with the
+        # working hinges' residual as offsets and nothing else, which keeps
+        # stationarity and sum mu
+        zero_reg = BoxIndicator(0.0 * u, 0.0 * u) if box else L1(0.0) if isinstance(reg, L1) else reg
+        residual = CanonicalQp(qp.rho, 0.0 * u, 0.0 * u, zero_reg, 0.0, _hinge_values(qp, u) - v, qp.slopes)
+        du, dmu, dv = _solve_pattern_system(residual, act, capped, pattern)
+        u = u + du
+        refined = _assemble(qp, np.clip(u, reg.lower, reg.upper) if box else u, mu + dmu, v + dv, act)
+        sol = min(sol, refined, key=lambda s: s.kkt_residual)
+    return sol
 
 
 # ---------------------------------------------------------------------------

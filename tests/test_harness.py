@@ -146,6 +146,45 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert (target / "ssqp_seed0.csv").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"algorithm": "ssqp-skip", "schedule": {"kind": "skip", "mu": 0.4, "smoothness": 4.0}},
+            {"algorithm": "varas", "horizon": 0, "epochs": 4,
+             "schedule": {"kind": "varas", "mu": 0.4, "smoothness_gamma": 10.0}},
+        ],
+        ids=["ssqp", "ssqp-skip", "varas"],
+    )
+    def test_counts_nonconverged_qps(self, tmp_path, monkeypatch, overrides):
+        # every third QMO answer is reported as not certified; the solution
+        # itself is unchanged, so the traces must be too
+        import dataclasses
+
+        import ssqpbench.algorithms
+
+        cfg = BenchConfig.from_dict(quadratic_config(seeds=[0, 1], **overrides))
+        run_experiment(cfg, output_dir=tmp_path / "plain")
+        solve = ssqpbench.algorithms.solve_canonical_qp
+        calls = []
+
+        def flaky_solve(*args, **kwargs):
+            calls.append(1)
+            sol = solve(*args, **kwargs)
+            return dataclasses.replace(sol, converged=len(calls) % 3 != 0)
+
+        monkeypatch.setattr(ssqpbench.algorithms, "solve_canonical_qp", flaky_solve)
+        meta = run_experiment(cfg, output_dir=tmp_path / "flaky")
+        counts = meta["qp_nonconverged"]
+        assert set(counts) == {"0", "1"}
+        assert sum(counts.values()) == len(calls) // 3 > 0
+        saved = json.loads((tmp_path / "flaky" / "metadata.json").read_text())
+        assert saved["qp_nonconverged"] == counts
+        for fname in meta["trace_files"].values():
+            assert (tmp_path / "flaky" / fname).read_bytes() == (tmp_path / "plain" / fname).read_bytes()
+        plain = json.loads((tmp_path / "plain" / "metadata.json").read_text())
+        assert plain["qp_nonconverged"] == {"0": 0, "1": 0}
+
     def test_counters_monotone_across_rows(self, tmp_path):
         cfg = BenchConfig.from_dict(quadratic_config(algorithm="varas", horizon=0,
                                                      epochs=6,
@@ -334,6 +373,10 @@ class TestCli:
         assert f"metadata.json and the partial traces are in {out}" in err
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["seed_status"] == {"0": "diverged", "1": "diverged"}
+        # a diverged seed still reports its count (here iterates near the guard
+        # can leave a QP uncertified)
+        assert set(meta["qp_nonconverged"]) == {"0", "1"}
+        assert all(isinstance(n, int) and n >= 0 for n in meta["qp_nonconverged"].values())
         assert meta["trace_files"] == {"0": "ssqp_seed0.csv", "1": "ssqp_seed1.csv"}
         for fname in meta["trace_files"].values():
             rows = read_trace(out / fname)
@@ -350,6 +393,7 @@ class TestCli:
         assert cli_main(["run", str(cfg)]) == 5
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["seed_status"] == {"0": "non-finite"}
+        assert meta["qp_nonconverged"] == {"0": None}
         assert meta["trace_files"] == {}
         assert not list(out.glob("*.csv"))
 
@@ -392,3 +436,16 @@ class TestCli:
         assert cli_main(["reference", str(cfg)]) == 4
         assert built  # the instance was built before the solve failed
         assert "reference solve failed" in capsys.readouterr().err
+
+    def test_reference_budget_exhaustion_exit_code(self, tmp_path, capsys, monkeypatch):
+        # the real solver with a one-iteration budget raises ReferenceSolveError
+        import functools
+
+        import ssqpbench.cli
+        from ssqpbench.problems import brute_force_optimum
+
+        monkeypatch.setattr(ssqpbench.cli, "brute_force_optimum",
+                            functools.partial(brute_force_optimum, max_iters=1))
+        cfg = self.write_config(tmp_path)
+        assert cli_main(["reference", str(cfg)]) == 4
+        assert "reference solve failed: reference solve did not reach tol" in capsys.readouterr().err

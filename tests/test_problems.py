@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssqpbench import (
+    ReferenceSolveError,
     brute_force_optimum,
     generate_current_ensemble,
     generate_regression_problem,
@@ -282,6 +283,12 @@ class TestReferenceSolvers:
         )
         x, _ = brute_force_optimum(problem, gamma=10.0, tol=1e-10)
         assert x[0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_brute_force_budget_exhaustion_is_typed(self):
+        problem = random_quadratic_problem(seed=14, dim=3, n=8, m=2)
+        with pytest.raises(ReferenceSolveError, match="did not reach tol"):
+            brute_force_optimum(problem, gamma=50.0, tol=1e-10, max_iters=1)
+        assert issubclass(ReferenceSolveError, RuntimeError)
 
 
 class TestRandomQuadratic:

@@ -1,9 +1,13 @@
 """Canonical QP solver: closed-form cases, KKT certification, oracle agreement."""
 
+import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ssqpbench import (
     L1,
@@ -396,6 +400,43 @@ class TestPolishOrder:
         np.testing.assert_array_equal(warmed.u, cold.u)
 
 
+class TestTightTolerance:
+    def test_refinement_certifies_at_the_rounding_floor(self):
+        # the first reference QP of criterion 2's instance 14 (at the full
+        # gamma), asked for 1e-12: the exact pattern solve leaves
+        # |mu * (b + A u - v)| at 2.5e-12 (mu ~ 144); one refinement step
+        # brings it under the tolerance
+        qp = make_qp(
+            rho=4.199999999999905,
+            anchor=[0.0, 0.0, 0.0],
+            linear=[-0.3767083998943366, -0.11282916298244457, 0.21807107125443417],
+            gamma=287.1706275560655,
+            offsets=[1.8148519607280698, 0.12581449581657583],
+            slopes=[[-0.07213099306616272, -1.0070801464447374, 1.0127317556552342],
+                    [-0.028598261237269624, 0.8530917156785938, -1.1150560668236298]],
+        )
+        sol = assert_loop_certifies(qp, tol=1e-12)
+        assert sol.active_set == (0, 1) and sol.v > 0.0
+
+
+class TestWarmEpigraphCase:
+    def test_paid_to_enforced_hinge_releases_v(self):
+        # warm from the paid hinge (v = 0.5 > 0, sum mu = Gamma held); with
+        # Gamma = 10 the cap gives v = -9 < 0, so v >= 0 must join the working set
+        paid = solve_canonical_qp(make_qp(gamma=0.5, offsets=[1.0], slopes=[-1.0]))
+        assert paid.v == pytest.approx(0.5)
+        sol = assert_loop_certifies(make_qp(gamma=10.0, offsets=[1.0], slopes=[-1.0]), warm=paid)
+        assert sol.u[0] == pytest.approx(1.0, abs=1e-12)
+        assert sol.v == 0.0 and sol.mu[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_enforced_to_paid_hinge_caps_the_duals(self):
+        enforced = solve_canonical_qp(make_qp(gamma=10.0, offsets=[1.0], slopes=[-1.0]))
+        assert enforced.v == 0.0
+        sol = assert_loop_certifies(make_qp(gamma=0.5, offsets=[1.0], slopes=[-1.0]), warm=enforced)
+        assert sol.u[0] == pytest.approx(0.5, abs=1e-12)
+        assert sol.v == pytest.approx(0.5, abs=1e-12)
+
+
 class TestSolverProperties:
     @pytest.mark.parametrize("seed", range(30))
     def test_oracle_agreement_sample(self, seed):
@@ -474,3 +515,120 @@ class TestSolverProperties:
         cold = solve_canonical_qp(qp2)
         warmed = solve_canonical_qp(qp2, warm=warm)
         np.testing.assert_allclose(warmed.u, cold.u, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the dual active-set loop on degenerate QPs
+
+# derandomized, so that every run draws the same examples
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40, database=None)
+coefficients = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def canonical_qps(draw, regularizer=st.sampled_from(["zero", "box", "l1"]), rho=st.floats(0.2, 5.0),
+                  gamma=st.floats(0.0, 10.0)):
+    """Random canonical QPs with d, m <= 5; ``regularizer``, ``rho`` and ``gamma`` are strategies."""
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    kind = draw(regularizer)
+    if kind == "zero":
+        reg = Zero()
+    elif kind == "box":
+        lower = draw(arrays(np.float64, d, elements=st.floats(-2.0, 0.0)))
+        reg = BoxIndicator(lower=lower, upper=lower + draw(arrays(np.float64, d, elements=st.floats(0.0, 3.0))))
+    else:
+        reg = L1(weight=draw(st.floats(0.0, 2.0)))
+    return CanonicalQp(
+        rho=draw(rho),
+        anchor=draw(arrays(np.float64, d, elements=coefficients)),
+        linear=draw(arrays(np.float64, d, elements=coefficients)),
+        regularizer=reg,
+        hinge_weight=draw(gamma),
+        offsets=draw(arrays(np.float64, m, elements=coefficients)),
+        slopes=draw(arrays(np.float64, (m, d), elements=st.floats(-2.0, 2.0))),
+    )
+
+
+def assert_loop_certifies(qp, tol=1e-9, warm=None):
+    """The active-set loop alone certifies qp to tol and is no worse than the dense oracle."""
+    with mock.patch.object(qp_subproblem, "dense_oracle_qp", side_effect=AssertionError("dense fallback")):
+        sol = solve_canonical_qp(qp, tol=tol, warm=warm)
+    assert sol.converged is True and sol.sweeps == 0
+    assert kkt_residual(qp, sol) <= tol
+    if qp.dim <= 6 and qp.m <= 6:
+        # objectives, not u: the oracle's u is wrong on some small-rho degenerate QPs
+        ref = dense_oracle_qp(qp)
+        assert sol.objective <= ref.objective + 1e-9 * (1.0 + abs(ref.objective))
+    return sol
+
+
+class TestActiveSetProperties:
+    @PROPERTY_SETTINGS
+    @given(qp=canonical_qps(), data=st.data())
+    def test_duplicate_and_zero_rows(self, qp, data):
+        slopes, offsets = qp.slopes.copy(), qp.offsets.copy()
+        for k in range(qp.m):
+            action = data.draw(st.sampled_from(["keep", "duplicate", "shifted", "zero"]))
+            if action == "zero":
+                slopes[k] = 0.0
+            elif action != "keep" and k:
+                j = data.draw(st.integers(0, k - 1))
+                slopes[k] = slopes[j]
+                offsets[k] = offsets[j] + (data.draw(coefficients) if action == "shifted" else 0.0)
+        assert_loop_certifies(dataclasses.replace(qp, slopes=slopes, offsets=offsets))
+
+    @PROPERTY_SETTINGS
+    @given(qp=canonical_qps(gamma=st.just(0.0)))
+    def test_zero_hinge_weight(self, qp):
+        sol = assert_loop_certifies(qp)
+        assert not sol.mu.any()
+
+    @PROPERTY_SETTINGS
+    @given(qp=canonical_qps(rho=st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
+    def test_rho_over_six_decades(self, qp):
+        assert_loop_certifies(qp)
+
+    @PROPERTY_SETTINGS
+    @given(qp=canonical_qps(regularizer=st.just("box")), data=st.data())
+    def test_coinciding_box_faces(self, qp, data):
+        upper = qp.regularizer.upper.copy()
+        pinned = data.draw(arrays(np.bool_, qp.dim))
+        upper[pinned] = qp.regularizer.lower[pinned]
+        sol = assert_loop_certifies(dataclasses.replace(qp, regularizer=BoxIndicator(qp.regularizer.lower, upper)))
+        np.testing.assert_array_equal(sol.u[pinned], qp.regularizer.lower[pinned])
+
+    @PROPERTY_SETTINGS
+    @given(qp=canonical_qps(gamma=st.floats(1e-3, 1.0)))
+    def test_small_gamma_forces_positive_epigraph(self, qp):
+        # shift the offsets so that the hinge stays >= 1 wherever the duals in
+        # the capped simplex can move u (||u - u0|| <= Gamma ||A|| / rho)
+        u0 = _primal_from_dual(qp, np.zeros(qp.m))
+        norm_sq = float(np.sum(qp.slopes**2))
+        shift = 1.0 + qp.hinge_weight * norm_sq / qp.rho - float((qp.offsets + qp.slopes @ u0).max())
+        sol = assert_loop_certifies(dataclasses.replace(qp, offsets=qp.offsets + max(shift, 0.0)))
+        assert sol.v >= 1.0 - 1e-9
+
+    @PROPERTY_SETTINGS
+    @given(qp=canonical_qps(regularizer=st.just("l1")), data=st.data())
+    def test_l1_weight_at_the_kink(self, qp, data):
+        # the L1 weight equals |rho*w_i - l_i| (up to a relative 1e-12) for one
+        # coordinate, which then sits on the soft-threshold kink of the prox point
+        i = data.draw(st.integers(0, qp.dim - 1))
+        scale = data.draw(st.sampled_from([1.0 - 1e-12, 1.0, 1.0 + 1e-12]))
+        weight = abs(qp.rho * qp.anchor[i] - qp.linear[i]) * scale
+        assert_loop_certifies(dataclasses.replace(qp, regularizer=L1(weight=weight)))
+
+    @PROPERTY_SETTINGS
+    @given(qp=canonical_qps(), data=st.data())
+    def test_warm_start_from_a_neighbouring_qp(self, qp, data):
+        # the previous QP's active set, epigraph case and duals may all be
+        # wrong for the next one: offsets, anchor and Gamma move
+        warm = assert_loop_certifies(qp)
+        nxt = dataclasses.replace(
+            qp,
+            offsets=qp.offsets + data.draw(arrays(np.float64, qp.m, elements=coefficients)),
+            anchor=qp.anchor + data.draw(arrays(np.float64, qp.dim, elements=st.floats(-0.5, 0.5))),
+            hinge_weight=qp.hinge_weight * data.draw(st.floats(0.0, 2.0)),
+        )
+        assert_loop_certifies(nxt, warm=warm)
