@@ -12,7 +12,9 @@ and reference alike), 3 divergence, 4 reference solve failure, 5 non-finite
 oracle evaluation (NaN or infinity in a function value or gradient).  When a
 run fails part-way, the seeds that finish still write their traces, a
 diverged seed writes its partial trace, metadata.json records every seed's
-status, and stderr names the directory they are in.
+status, and stderr names the directory they are in.  Under run, stderr also
+gets one warning line naming each seed that used QP answers which did not
+certify (``qp_nonconverged`` in metadata.json above 0).
 The SSQPBENCH_OUTPUT_DIR environment variable overrides the config output dir.
 """
 
@@ -60,6 +62,14 @@ def _load_config(path: str, args: argparse.Namespace) -> BenchConfig:
     return BenchConfig.from_dict(doc)
 
 
+def _warn_nonconverged(meta: dict) -> None:
+    """One stderr line naming each seed that used QP answers which did not certify."""
+    counts = {seed: n for seed, n in meta["qp_nonconverged"].items() if n}
+    if counts:
+        seeds = ", ".join(f"seed {seed}: {n}" for seed, n in counts.items())
+        print(f"warning: QP answers that did not certify were used ({seeds})", file=sys.stderr)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
     out = resolve_output_dir(config)
@@ -67,8 +77,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         meta = run_experiment(config, out)
     except (DivergenceError, NonFiniteEvaluationError):
         # run_experiment raises these only after every seed ran and metadata.json was written
+        _warn_nonconverged(json.loads((out / "metadata.json").read_text()))
         print(f"run failed part-way; metadata.json and the partial traces are in {out}", file=sys.stderr)
         raise
+    _warn_nonconverged(meta)
     print(f"wrote {len(meta['trace_files'])} trace(s) to {out}")
     return EXIT_OK
 

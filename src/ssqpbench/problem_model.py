@@ -228,7 +228,8 @@ class ConstrainedProblem:
 
 
 def _check_finite(arr: np.ndarray, what: str):
-    if not np.isfinite(arr).all():
+    # exact, and count_nonzero skips the Python-level wrapper that ndarray.all goes through
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteEvaluationError(f"non-finite {what}; problem ill-posed or run diverged")
 
 

@@ -12,7 +12,8 @@ dual active-set method (Goldfarb--Idnani) on the hinge duals in the capped
 simplex {mu >= 0, sum mu <= Gamma} and the regularizer's coordinate duals,
 warm-started from the previous solution's active set.  Each step solves one
 reduced (Schur-complement) KKT system; the answer is certified once, by its
-KKT residual.
+KKT residual.  The certificate and the objective share one evaluation of the
+hinge values b + A u at the answer's u (after the Box clip).
 """
 
 from __future__ import annotations
@@ -59,11 +60,10 @@ class CanonicalQp:
             raise ValueError("rho must be positive (subproblem must be strongly convex)")
         if self.hinge_weight < 0:
             raise ValueError("hinge weight must be nonnegative")
-        for arr in (self.anchor, self.linear, self.offsets, self.slopes):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("subproblem data must be finite")
-        if self.slopes.shape != (self.m, self.dim):
-            raise ValueError("slope matrix shape mismatch")
+        # one exact pass over all four arrays (a sum or a dot product could overflow on finite data)
+        data = np.concatenate((self.anchor, self.linear, self.offsets, self.slopes), axis=None)
+        if np.count_nonzero(np.isfinite(data)) != data.size:
+            raise ValueError("subproblem data must be finite")
 
     @property
     def dim(self) -> int:
@@ -76,7 +76,7 @@ class CanonicalQp:
 
 @dataclass
 class QpSolution:
-    """Certified minimizer of a CanonicalQp, with epigraph value and duals."""
+    """Solver answer for a CanonicalQp with epigraph value and duals; certified only when ``converged``."""
 
     u: np.ndarray
     v: float
@@ -89,18 +89,15 @@ class QpSolution:
     sweeps: int = 0  # first-order dual sweeps spent; the active-set solver takes none
 
 
-def _hinge_values(qp: CanonicalQp, u: np.ndarray) -> np.ndarray:
-    if qp.m == 0:
-        return np.empty(0)
-    return qp.offsets + qp.slopes @ u
-
-
 def qp_objective(qp: CanonicalQp, u: np.ndarray) -> float:
     """Objective of the canonical subproblem at u (hinge kept exact)."""
-    diff = u - qp.anchor
+    return _objective(qp, u, u - qp.anchor, qp.offsets + qp.slopes @ u)
+
+
+def _objective(qp: CanonicalQp, u: np.ndarray, diff: np.ndarray, r: np.ndarray) -> float:  # diff = u - w, r = b + A u
     val = 0.5 * qp.rho * float(diff @ diff) + float(qp.linear @ u) + qp.regularizer.value(u)
-    if qp.m:
-        val += qp.hinge_weight * max(0.0, float(_hinge_values(qp, u).max()))
+    if r.size:
+        val += qp.hinge_weight * max(0.0, float(r.max()))
     return val
 
 
@@ -115,14 +112,19 @@ def _primal_from_dual(qp: CanonicalQp, mu: np.ndarray) -> np.ndarray:
 
 def kkt_residual(qp: CanonicalQp, sol: QpSolution, activity_tol: float = 1e-9) -> float:
     """Worst violation of the epigraph-QP KKT system at (u, v, mu, dual_v)."""
+    return _kkt_residual(qp, sol, sol.u - qp.anchor, qp.offsets + qp.slopes @ sol.u, activity_tol)
+
+
+def _kkt_residual(qp: CanonicalQp, sol: QpSolution, diff: np.ndarray, r: np.ndarray, activity_tol=1e-9) -> float:
+    """``kkt_residual`` from ``diff = u - w`` and the hinge values ``r`` at u."""
     u, v, mu, dual_v = sol.u, sol.v, sol.mu, sol.dual_v
-    s = qp.rho * (u - qp.anchor) + qp.linear
-    if qp.m:
+    s = qp.rho * diff + qp.linear
+    if r.size:
         s = s + qp.slopes.T @ mu
 
     reg = qp.regularizer
     if isinstance(reg, Zero):
-        stat_u = float(np.linalg.norm(s))
+        stat_u = math.sqrt(s @ s)  # np.linalg.norm(s), bit for bit
     elif isinstance(reg, BoxIndicator):
         scale = 1.0 + np.abs(u)
         at_lo = u <= reg.lower + activity_tol * scale
@@ -144,11 +146,11 @@ def kkt_residual(qp: CanonicalQp, sol: QpSolution, activity_tol: float = 1e-9) -
 
     stat_v = abs(qp.hinge_weight - mu.sum() - dual_v)
     neg_duals = max(float(np.maximum(-mu, 0.0).max(initial=0.0)), max(0.0, -dual_v))
-    r = _hinge_values(qp, u)
-    primal = max(float(np.maximum(r - v, 0.0).max(initial=0.0)), max(0.0, -v))
+    slack = r - v
+    primal = max(float(np.maximum(slack, 0.0).max(initial=0.0)), max(0.0, -v))
     comp = abs(dual_v * v)
-    if qp.m:
-        comp = max(comp, float(np.abs(mu * (r - v)).max()))
+    if r.size:
+        comp = max(comp, float(np.abs(mu * slack).max()))
     return max(stat_u, stat_v, neg_duals, primal, comp)
 
 
@@ -195,6 +197,7 @@ def _solve_pattern_system(
     active: np.ndarray,
     v_positive: bool,
     pattern: np.ndarray,
+    r: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Solve the equality KKT system for a fixed active set and coordinate pattern.
 
@@ -210,26 +213,30 @@ def _solve_pattern_system(
     where X are the pinned coordinates, and the last row and column exist only
     when v > 0.  It is solved by least squares so that duplicate and zero hinge
     rows stay well handled: in a consistent system u is unique even when mu is
-    not.
+    not.  A caller that makes many solves passes in ``r = rho*w - l``.
     """
-    fixed, fixed_vals = _pattern_split(qp, pattern)
-    free = ~fixed
-    r = qp.rho * qp.anchor - qp.linear
-    if isinstance(qp.regularizer, L1):
-        r = r - qp.regularizer.weight * pattern
-    r_free = r[free]
+    if r is None:
+        r = qp.rho * qp.anchor - qp.linear
+    split = not isinstance(qp.regularizer, Zero)
+    if split:
+        fixed, fixed_vals = _pattern_split(qp, pattern)
+        free = ~fixed
+        if isinstance(qp.regularizer, L1):
+            r = r - qp.regularizer.weight * pattern
+        r = r[free]
     na = len(active)
     mu = np.zeros(qp.m)
     v = 0.0
     if na:
         A_act = qp.slopes[active]
-        A_free = A_act[:, free]
+        # the F-ordered copy A_act[:, free] makes: BLAS rounds C and F products differently
+        A_free = A_act[:, free] if split else A_act.copy(order="F")
         n = na + 1 if v_positive else na
         K = np.zeros((n, n))
         K[:na, :na] = A_free @ A_free.T / qp.rho
         rhs = np.empty(n)
-        rhs[:na] = A_free @ r_free / qp.rho + qp.offsets[active]
-        if fixed.any():
+        rhs[:na] = A_free @ r / qp.rho + qp.offsets[active]
+        if split and fixed.any():
             rhs[:na] += A_act[:, fixed] @ fixed_vals[fixed]
         if v_positive:
             K[:na, na] = 1.0
@@ -239,9 +246,11 @@ def _solve_pattern_system(
         mu[active] = sol[:na]
         if v_positive:
             v = float(sol[na])
-        r_free = r_free - A_free.T @ sol[:na]
+        r = r - A_free.T @ sol[:na]
+    if not split:
+        return r / qp.rho, mu, v
     u = fixed_vals
-    u[free] = r_free / qp.rho
+    u[free] = r / qp.rho
     return u, mu, v
 
 
@@ -309,27 +318,24 @@ def _pattern_iteration(
     return u, mu, v
 
 
-def _assemble(qp: CanonicalQp, u, mu, v, active, objective=math.nan) -> QpSolution:
-    """Candidate solution with its KKT residual.
-
-    The objective is left NaN unless given: candidates are compared by KKT
-    residual only, and ``solve_canonical_qp`` evaluates the objective of the
-    one it returns.
-    """
+def _assemble(qp: CanonicalQp, u, mu, v, active, r: Optional[np.ndarray] = None) -> QpSolution:
+    """Candidate solution; its KKT residual and objective share the hinge values r at u."""
     mu = np.maximum(mu, 0.0) if mu.size else mu
     if v <= 0.0:
         v = 0.0
     dual_v = 0.0 if v > 0 else max(qp.hinge_weight - mu.sum(), 0.0)
+    r = qp.offsets + qp.slopes @ u if r is None else r
+    diff = u - qp.anchor
     sol = QpSolution(
         u=u,
         v=float(v),
         mu=mu,
         dual_v=float(dual_v),
         kkt_residual=np.inf,
-        active_set=tuple(int(k) for k in active),
-        objective=objective,
+        active_set=tuple(active.tolist()),
+        objective=_objective(qp, u, diff, r),
     )
-    sol.kkt_residual = kkt_residual(qp, sol)
+    sol.kkt_residual = _kkt_residual(qp, sol, diff, r)
     return sol
 
 
@@ -354,18 +360,18 @@ def solve_canonical_qp(
         raise ValueError("tol must lie in (0, 1e-4]")
     m = qp.m
     u0 = _primal_from_dual(qp, np.zeros(m))
-    hinge0 = max(0.0, float(_hinge_values(qp, u0).max())) if m else 0.0
+    r0 = qp.offsets + qp.slopes @ u0
+    hinge0 = max(0.0, float(r0.max())) if m else 0.0
     sol = None
     # the prox point solves the QP when the hinge costs nothing or is slack there
     if m == 0 or qp.hinge_weight == 0.0 or hinge0 == 0.0:
-        sol = _assemble(qp, u0, np.zeros(m), hinge0, np.empty(0, dtype=int))
+        sol = _assemble(qp, u0, np.zeros(m), hinge0, np.empty(0, dtype=int), r0)
     if sol is None or (m and qp.hinge_weight and sol.kkt_residual > tol):
         sol = _dual_active_set(qp, tol, warm, u0)
         if sol.kkt_residual > tol and max(m, qp.dim) <= _DENSE_LIMIT:
             oracle = dense_oracle_qp(qp)
             sol = oracle if oracle.kkt_residual <= tol else sol
         sol.converged = bool(sol.kkt_residual <= tol)
-    sol.objective = qp_objective(qp, sol.u)
     return sol
 
 
@@ -393,6 +399,17 @@ def _face_violations(qp: CanonicalQp, pattern: np.ndarray, u: np.ndarray) -> np.
     if isinstance(reg, L1):
         return np.where(pattern != 0, -pattern * u, -np.inf)
     return np.where(pattern == 0, np.maximum(reg.lower - u, u - reg.upper), -np.inf)
+
+
+def _min_ratio(c: np.ndarray, dc: np.ndarray, labels: np.ndarray, ray: bool, eps: float) -> tuple[float, int]:
+    """Smallest ratio c / -dc over the blocking duals and its label (the first on ties), or (inf, -1)."""
+    blocking = ((dc < 0.0 if ray else c + dc < -eps) & (c < np.inf)).nonzero()[0]
+    if not blocking.size:
+        return np.inf, -1
+    with np.errstate(over="ignore"):  # a subnormal rate gives an infinite ratio
+        ratios = c[blocking] / -dc[blocking]
+    j = int(ratios.argmin())
+    return float(ratios[j]), int(labels[blocking[j]])
 
 
 def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0: np.ndarray) -> QpSolution:
@@ -429,10 +446,12 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
     if coords:
         lo, hi = _dual_bounds(qp, pattern)
         y = np.clip(qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu, lo, hi)
+    r = qp.rho * qp.anchor - qp.linear
     for _ in range(10 * (m + qp.dim + 1)):  # finite in exact arithmetic; the cap guards rounding
-        act = np.flatnonzero(work)
-        u, mu_t, v = _solve_pattern_system(qp, act, capped, pattern)
-        slack = _hinge_values(qp, u) - v
+        act = work.nonzero()[0]
+        u, mu_t, v = _solve_pattern_system(qp, act, capped, pattern, r)
+        hinge = qp.offsets + qp.slopes @ u
+        slack = hinge - v
         # a working-hinge residual above rounding (relative 1e-8 of the terms
         # of b + A u - v) means the system has no solution
         dev = np.abs(slack[act]).max(initial=0.0)
@@ -441,25 +460,20 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
             terms = np.abs(qp.offsets[act]) + np.abs(qp.slopes[act]) @ np.abs(u)
             ray = dev > 1e-8 * (1.0 + abs(v) + float(terms.max()))
         step = np.where(work, slack, 0.0) if ray else mu_t - mu
-        # each bounded dual's slack c >= 0 and rate dc along the step: the
-        # working hinges (labels k < m), the cap (m), the coordinates (m + 1 + i)
-        c = [mu[act], [np.inf if capped else gamma - mu.sum()]]
-        dc = [step[act], [-step.sum()]]
-        labels = [act, [m]]
+        # ratio test over each bounded dual's slack c >= 0 and its rate dc along
+        # the step, labelled: the working hinges k < m, the cap m, the
+        # coordinates m + 1 + i; a tie goes to the smallest label
+        alpha, leaving = _min_ratio(mu[act], step[act], act, ray, eps)
+        if not capped:
+            c, dc = gamma - mu.sum(), -step.sum()
+            if dc < 0.0 if ray else c + dc < -eps:
+                with np.errstate(over="ignore"):
+                    alpha, leaving = min((alpha, leaving), (float(c / -dc), m))
         if coords:
             dy = qp.slopes.T @ step if ray else qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu_t - y
             bounded = np.flatnonzero(lo < hi)
-            c.append(np.where(dy > 0.0, hi - y, y - lo)[bounded])
-            dc.append(-np.abs(dy[bounded]))
-            labels.append(m + 1 + bounded)
-        c, dc = np.concatenate(c), np.concatenate(dc)
-        blocking = np.flatnonzero((dc < 0.0 if ray else c + dc < -eps) & (c < np.inf))
-        alpha = np.inf
-        if blocking.size:
-            with np.errstate(over="ignore"):  # a subnormal rate gives an infinite ratio
-                ratios = c[blocking] / -dc[blocking]
-            j = int(np.argmin(ratios))
-            alpha, leaving = float(ratios[j]), int(np.concatenate(labels)[blocking[j]])
+            cy, dcy = np.where(dy > 0.0, hi - y, y - lo)[bounded], -np.abs(dy[bounded])
+            alpha, leaving = min((alpha, leaving), _min_ratio(cy, dcy, m + 1 + bounded, ray, eps))
         if alpha < np.inf:
             mu = np.maximum(mu + alpha * step, 0.0)
             if leaving == m:
@@ -476,16 +490,21 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
             continue
         if ray:  # unbounded: only rounding gets here
             break
-        # full step to the working set's solution: add the most violated constraint
+        # full step to the working set's solution: add the most violated
+        # hinge, v >= 0 or coordinate face (a tie goes to the first of these)
         mu = np.maximum(mu_t, 0.0)
         slack[act] = -np.inf
-        violation = [slack, [-v if capped else -np.inf]]
+        j = int(slack.argmax())
+        worst = slack[j]
+        if capped and -v > worst:
+            j, worst = m, -v
         if coords:
             y = np.clip(y + dy, lo, hi)
-            violation.append(_face_violations(qp, pattern, u))
-        violation = np.concatenate(violation)
-        j = int(np.argmax(violation))
-        if violation[j] <= eps:
+            faces = _face_violations(qp, pattern, u)
+            i = int(faces.argmax())
+            if faces[i] > worst:
+                j, worst = m + 1 + i, faces[i]
+        if worst <= eps:
             break
         if j == m:
             capped = False
@@ -498,14 +517,15 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
             y = np.clip(y, lo, hi)
     act = np.flatnonzero(work)
     box = isinstance(reg, BoxIndicator)
-    sol = _assemble(qp, np.clip(u, reg.lower, reg.upper) if box else u, mu, v, act)
+    # a clipped Box answer needs its own hinge values; the others keep the loop's
+    sol = _assemble(qp, np.clip(u, reg.lower, reg.upper) if box else u, mu, v, act, None if box else hinge)
     if sol.kkt_residual > tol:
         # a tight tol can sit below the rounding of u = (r_F - A_F^T mu) / rho:
         # one step of iterative refinement solves the same system with the
         # working hinges' residual as offsets and nothing else, which keeps
         # stationarity and sum mu
         zero_reg = BoxIndicator(0.0 * u, 0.0 * u) if box else L1(0.0) if isinstance(reg, L1) else reg
-        residual = CanonicalQp(qp.rho, 0.0 * u, 0.0 * u, zero_reg, 0.0, _hinge_values(qp, u) - v, qp.slopes)
+        residual = CanonicalQp(qp.rho, 0.0 * u, 0.0 * u, zero_reg, 0.0, hinge - v, qp.slopes)
         du, dmu, dv = _solve_pattern_system(residual, act, capped, pattern)
         u = u + du
         refined = _assemble(qp, np.clip(u, reg.lower, reg.upper) if box else u, mu + dmu, v + dv, act)
@@ -636,8 +656,8 @@ def dense_oracle_qp(qp: CanonicalQp) -> QpSolution:
         raise ValueError(f"dense oracle limited to m, d <= {_DENSE_LIMIT}")
     u0 = _primal_from_dual(qp, np.zeros(qp.m))
     if qp.m == 0 or qp.hinge_weight == 0.0:
-        v0 = max(0.0, float(_hinge_values(qp, u0).max())) if qp.m else 0.0
-        return _assemble(qp, u0, np.zeros(qp.m), v0, np.empty(0, dtype=int), objective=qp_objective(qp, u0))
+        v0 = max(0.0, float((qp.offsets + qp.slopes @ u0).max())) if qp.m else 0.0
+        return _assemble(qp, u0, np.zeros(qp.m), v0, np.empty(0, dtype=int))
 
     # (subset, v_pos, seed bytes) -> (objective, u, mu, v, act), None if not finite
     solved: dict[tuple, Optional[tuple]] = {}
@@ -659,7 +679,7 @@ def dense_oracle_qp(qp: CanonicalQp) -> QpSolution:
         found = [solved[key] for key in keys if solved[key] is not None]
         best_obj = min(cand[0] for cand in found)
         cutoff = best_obj + 1e-12 * max(1.0, abs(best_obj))
-        tied = [_assemble(qp, *cand[1:], objective=cand[0]) for cand in found if cand[0] <= cutoff]
+        tied = [_assemble(qp, *cand[1:]) for cand in found if cand[0] <= cutoff]
         return min(tied, key=lambda sol: sol.kkt_residual)
 
     fixed_seeds = [_coordinate_pattern(qp, u0, 1e-12), np.zeros(qp.dim, dtype=int)]

@@ -283,6 +283,32 @@ class TestCli:
         assert not (tmp_path / "config_out").exists()
         assert capsys.readouterr().out.strip().endswith(str(tmp_path / "env_out"))
 
+    def test_run_warns_on_nonconverged_qps(self, tmp_path, capsys, monkeypatch):
+        # the run's first QMO answer, one of seed 0's, is reported as not certified
+        import dataclasses
+
+        import ssqpbench.algorithms
+
+        cfg = self.write_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "plain"))
+        assert cli_main(["run", str(cfg)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        solve = ssqpbench.algorithms.solve_canonical_qp
+        calls = []
+
+        def flaky_solve(*args, **kwargs):
+            calls.append(1)
+            return dataclasses.replace(solve(*args, **kwargs), converged=len(calls) > 1)
+
+        monkeypatch.setattr(ssqpbench.algorithms, "solve_canonical_qp", flaky_solve)
+        cfg = self.write_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "flaky"))
+        assert cli_main(["run", str(cfg)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "warning" in line] == [
+            "warning: QP answers that did not certify were used (seed 0: 1)"
+        ]
+        meta = json.loads((tmp_path / "flaky" / "metadata.json").read_text())
+        assert meta["qp_nonconverged"] == {"0": 1, "1": 0}
+
     def test_run_with_seed_override(self, tmp_path):
         cfg = self.write_config(tmp_path, output_dir=str(tmp_path / "out"))
         assert cli_main(["run", str(cfg), "--seed", "5", "7"]) == 0
@@ -377,6 +403,11 @@ class TestCli:
         # can leave a QP uncertified)
         assert set(meta["qp_nonconverged"]) == {"0", "1"}
         assert all(isinstance(n, int) and n >= 0 for n in meta["qp_nonconverged"].values())
+        # the warning line names exactly the seeds that used an uncertified answer
+        named = {seed for seed, n in meta["qp_nonconverged"].items() if n}
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == (1 if named else 0)
+        assert all(f"seed {seed}: " in warnings[0] for seed in named)
         assert meta["trace_files"] == {"0": "ssqp_seed0.csv", "1": "ssqp_seed1.csv"}
         for fname in meta["trace_files"].values():
             rows = read_trace(out / fname)

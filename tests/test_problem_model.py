@@ -180,6 +180,36 @@ class TestLeanSfoQuery:
         with pytest.raises(IndexError):
             sfo_query(two_component_problem(), np.array([0.0]), [0, -1])
 
+    @staticmethod
+    def bundle_problem(grads=None, cvals=None, cgrads=None):
+        """d = 4, m = 3; every block finite unless given."""
+        grads = np.zeros((2, 4)) if grads is None else grads
+        cvals = np.zeros(3) if cvals is None else cvals
+        cgrads = np.ones((3, 4)) if cgrads is None else cgrads
+        return ConstrainedProblem(
+            dim=4, n_components=2,
+            component_block=lambda x, idx: (np.zeros(len(idx)), grads[idx]),
+            smoothness=1.0, constraint_smoothness=0.0,
+            m=3, constraint_block=lambda x: (cvals, cgrads),
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("what", ["query point", "stochastic gradient", "constraint value", "constraint gradient"])
+    def test_non_finite_entry_past_the_first(self, what, bad):
+        x, grads, cvals, cgrads = np.zeros(4), np.zeros((2, 4)), np.zeros(3), np.ones((3, 4))
+        {"query point": x, "stochastic gradient": grads[1], "constraint value": cvals,
+         "constraint gradient": cgrads[1]}[what][2] = bad
+        with pytest.raises(NonFiniteEvaluationError, match=what):
+            sfo_query(self.bundle_problem(grads, cvals, cgrads), x, [0, 1])
+
+    def test_huge_finite_bundle_passes(self):
+        # a dot product over these entries overflows; the checks must not
+        big = np.full((3, 4), 1e200)
+        problem = self.bundle_problem(grads=np.full((2, 4), -1e200), cvals=big[:, 0], cgrads=big)
+        sample = sfo_query(problem, np.full(4, 1e200), [0, 1])
+        np.testing.assert_array_equal(sample.stochastic_gradient, np.full(4, -1e200))
+        np.testing.assert_array_equal(sample.constraint_gradients, big)
+
     def test_gradient_only_query_skips_the_bundle(self):
         calls = []
 

@@ -400,22 +400,26 @@ class TestPolishOrder:
         np.testing.assert_array_equal(warmed.u, cold.u)
 
 
+def rounding_floor_instance():
+    """The first reference QP of criterion 2's instance 14 (at the full gamma).
+
+    Asked for 1e-12, the exact pattern solve leaves |mu * (b + A u - v)| at
+    2.5e-12 (mu ~ 144); one refinement step brings it under the tolerance.
+    """
+    return make_qp(
+        rho=4.199999999999905,
+        anchor=[0.0, 0.0, 0.0],
+        linear=[-0.3767083998943366, -0.11282916298244457, 0.21807107125443417],
+        gamma=287.1706275560655,
+        offsets=[1.8148519607280698, 0.12581449581657583],
+        slopes=[[-0.07213099306616272, -1.0070801464447374, 1.0127317556552342],
+                [-0.028598261237269624, 0.8530917156785938, -1.1150560668236298]],
+    )
+
+
 class TestTightTolerance:
     def test_refinement_certifies_at_the_rounding_floor(self):
-        # the first reference QP of criterion 2's instance 14 (at the full
-        # gamma), asked for 1e-12: the exact pattern solve leaves
-        # |mu * (b + A u - v)| at 2.5e-12 (mu ~ 144); one refinement step
-        # brings it under the tolerance
-        qp = make_qp(
-            rho=4.199999999999905,
-            anchor=[0.0, 0.0, 0.0],
-            linear=[-0.3767083998943366, -0.11282916298244457, 0.21807107125443417],
-            gamma=287.1706275560655,
-            offsets=[1.8148519607280698, 0.12581449581657583],
-            slopes=[[-0.07213099306616272, -1.0070801464447374, 1.0127317556552342],
-                    [-0.028598261237269624, 0.8530917156785938, -1.1150560668236298]],
-        )
-        sol = assert_loop_certifies(qp, tol=1e-12)
+        sol = assert_loop_certifies(rounding_floor_instance(), tol=1e-12)
         assert sol.active_set == (0, 1) and sol.v > 0.0
 
 
@@ -435,6 +439,63 @@ class TestWarmEpigraphCase:
         sol = assert_loop_certifies(make_qp(gamma=0.5, offsets=[1.0], slopes=[-1.0]), warm=enforced)
         assert sol.u[0] == pytest.approx(0.5, abs=1e-12)
         assert sol.v == pytest.approx(0.5, abs=1e-12)
+
+
+class TestConstruction:
+    @staticmethod
+    def data():
+        return {"anchor": np.zeros(3), "linear": np.ones(3), "offsets": np.zeros(2), "slopes": np.ones((2, 3))}
+
+    @pytest.mark.parametrize("field", ["anchor", "linear", "offsets", "slopes"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_data(self, field, bad):
+        data = self.data()
+        data[field].flat[-1] = bad
+        with pytest.raises(ValueError, match="subproblem data must be finite"):
+            CanonicalQp(rho=1.0, regularizer=Zero(), hinge_weight=1.0, **data)
+
+    def test_accepts_huge_finite_data(self):
+        # a sum or a dot product over these entries overflows; the check must not
+        data = {key: np.full_like(arr, 1.7e308) for key, arr in self.data().items()}
+        qp = CanonicalQp(rho=1.0, regularizer=Zero(), hinge_weight=1.0, **data)
+        assert (qp.m, qp.dim) == (2, 3)
+
+
+class TestSharedHingeValues:
+    """An answer's certificate and objective are bit for bit the from-scratch ones."""
+
+    @staticmethod
+    def assert_recomputed_bitwise(qp, sol):
+        assert sol.kkt_residual == kkt_residual(qp, sol)
+        assert sol.objective == qp_objective(qp, sol.u)
+
+    def test_mixed_cold_and_warm_stream(self):
+        rng = np.random.default_rng(77)
+        kinds = set()
+        for _ in range(150):
+            d, m = int(rng.integers(1, 7)), int(rng.integers(0, 6))
+            qp = random_instance(rng, d, m, random_regularizer(rng, d))
+            kinds.add(type(qp.regularizer))
+            cold = solve_canonical_qp(qp)
+            self.assert_recomputed_bitwise(qp, cold)
+            near = dataclasses.replace(qp, anchor=qp.anchor + 0.01 * rng.standard_normal(d))
+            self.assert_recomputed_bitwise(near, solve_canonical_qp(near, warm=cold))
+        assert kinds == {Zero, BoxIndicator, L1}
+
+    def test_clipped_box_answer(self):
+        # the hinge holds at u = 1 + 5e-11, a free u outside the box by less
+        # than the face tolerance; the answer is clipped to u = 1, where the
+        # hinge is 5e-11 short, and its certificate must be taken there
+        box = BoxIndicator(lower=np.array([-1.0]), upper=np.array([1.0]))
+        qp = make_qp(anchor=[0.5], regularizer=box, gamma=10.0, offsets=[1.0 + 5e-11], slopes=[-1.0])
+        sol = solve_canonical_qp(qp)
+        assert sol.u[0] == 1.0 and sol.converged is True
+        assert sol.kkt_residual == pytest.approx(5e-11, rel=1e-3)
+        self.assert_recomputed_bitwise(qp, sol)
+
+    def test_refined_answer(self):
+        qp = rounding_floor_instance()
+        self.assert_recomputed_bitwise(qp, solve_canonical_qp(qp, tol=1e-12))
 
 
 class TestSolverProperties:
