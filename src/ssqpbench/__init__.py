@@ -11,7 +11,6 @@ from .problem_model import (
     SfoSample,
     StreamingUnsupportedError,
     Zero,
-    bregman_divergence,
     full_gradient,
     sfo_query,
 )
@@ -79,6 +78,5 @@ from .harness import (
     read_trace,
     run_experiment,
     slope_fit,
-    wall_clock_model,
     write_trace,
 )

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +55,6 @@ __all__ = [
     "resolve_output_dir",
     "calls_to_threshold",
     "slope_fit",
-    "wall_clock_model",
 ]
 
 TRACE_COLUMNS = ("iter", "sfo", "qmo", "gap", "rel_gap", "max_viol", "sum_viol", "dist_sq", "wall")
@@ -92,17 +91,13 @@ class BenchConfig:
     def from_dict(cls, doc: dict) -> "BenchConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "problem", "algorithm", "schedule", "gamma", "seeds", "horizon",
-            "epochs", "batch_size", "checkpoint_stride", "output_dir",
-            "cost_model_m", "reference", "gamma_provenance", "slater",
-        }
-        unknown = set(doc) - known
+        schema = fields(cls)
+        unknown = set(doc) - {f.name for f in schema}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for req in ("problem", "algorithm", "schedule", "gamma", "seeds"):
-            if req not in doc:
-                raise ConfigError(f"missing required config field '{req}'")
+        for f in schema:
+            if f.default is MISSING and f.name not in doc:
+                raise ConfigError(f"missing required config field '{f.name}'")
         cfg = cls(**doc)
         cfg.validate()
         return cfg
@@ -133,23 +128,7 @@ class BenchConfig:
                 raise ConfigError(f"gamma {self.gamma} below certified level {floor}")
 
     def to_dict(self) -> dict:
-        doc = {
-            "problem": self.problem,
-            "algorithm": self.algorithm,
-            "schedule": self.schedule,
-            "gamma": self.gamma,
-            "seeds": list(self.seeds),
-            "horizon": self.horizon,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "checkpoint_stride": self.checkpoint_stride,
-            "output_dir": self.output_dir,
-            "cost_model_m": self.cost_model_m,
-            "reference": self.reference,
-            "gamma_provenance": self.gamma_provenance,
-            "slater": self.slater,
-        }
-        return doc
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +402,3 @@ def slope_fit(
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), r2
-
-
-def wall_clock_model(sfo: float, qmo: float, m_factor: float) -> float:
-    """Model run time sfo + M * qmo, M >= 1 the relative QP solve cost."""
-    if m_factor < 1:
-        raise ValueError("M must be >= 1")
-    return float(sfo) + m_factor * float(qmo)

@@ -29,7 +29,6 @@ __all__ = [
     "StreamingUnsupportedError",
     "sfo_query",
     "full_gradient",
-    "bregman_divergence",
 ]
 
 
@@ -291,15 +290,3 @@ def full_gradient(
         counters.sfo_calls += problem.n_components
         counters.full_gradient_passes += 1
     return grad
-
-
-def bregman_divergence(problem: ConstrainedProblem, u: np.ndarray, v: np.ndarray) -> float:
-    """D_f(u, v) = f(u) - f(v) - <grad f(v), u - v>; nonnegative for convex f."""
-    if problem.is_streaming:
-        raise StreamingUnsupportedError("Bregman divergence needs a finite sum")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    fu = problem.objective_value(u)
-    fv = problem.objective_value(v)
-    gv = full_gradient(problem, v)
-    return float(fu - fv - gv @ (u - v))

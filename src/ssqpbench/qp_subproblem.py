@@ -10,10 +10,14 @@ b_k + <A_k, u> <= v.  The quadratic is diagonal and h is separable, so the
 primal is available in closed form from the duals.  The solver is a finite
 dual active-set method (Goldfarb--Idnani) on the hinge duals in the capped
 simplex {mu >= 0, sum mu <= Gamma} and the regularizer's coordinate duals,
-warm-started from the previous solution's active set.  Each step solves one
-reduced (Schur-complement) KKT system; the answer is certified once, by its
-KKT residual.  The certificate and the objective share one evaluation of the
-hinge values b + A u at the answer's u (after the Box clip).
+warm-started from the previous solution's active set.  What a Box or L1
+regularizer does to a coordinate is read from one face table (``_faces``).
+Each step solves one reduced (Schur-complement) KKT system; the answer is
+certified once, by its KKT residual, which keeps its own per-regularizer
+formulas.  The certificate and the objective share one evaluation of the
+hinge values b + A u at the answer's u (after the Box clip).  An answer that
+does not certify is returned with ``converged=False``; the dense enumeration
+oracle is a reference for tests and the benchmark, not a fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,10 +60,10 @@ class CanonicalQp:
         self.linear = np.asarray(self.linear, dtype=float)
         self.offsets = np.asarray(self.offsets, dtype=float).reshape(-1)
         self.slopes = np.asarray(self.slopes, dtype=float).reshape(len(self.offsets), self.anchor.shape[0])
-        if not self.rho > 0:
-            raise ValueError("rho must be positive (subproblem must be strongly convex)")
-        if self.hinge_weight < 0:
-            raise ValueError("hinge weight must be nonnegative")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite (subproblem must be strongly convex)")
+        if not 0 <= self.hinge_weight < math.inf:
+            raise ValueError("hinge weight must be nonnegative and finite")
         # one exact pass over all four arrays (a sum or a dot product could overflow on finite data)
         data = np.concatenate((self.anchor, self.linear, self.offsets, self.slopes), axis=None)
         if np.count_nonzero(np.isfinite(data)) != data.size:
@@ -176,53 +180,69 @@ def _coordinate_pattern(qp: CanonicalQp, u: np.ndarray, tol: float) -> np.ndarra
     return pat
 
 
-def _pattern_split(qp: CanonicalQp, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates the pattern pins (Box faces, L1 zeros) and the values they are pinned at."""
+def _faces(qp: CanonicalQp, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Face table ``(ulo, uhi, ylo, yhi)`` of a coordinate pattern.
+
+    Faces are numbered in order along u: Box -1 at the lower bound, 0 inside,
+    +1 at the upper bound; L1 -1 on the negative half-line, 0 at zero, +1 on
+    the positive half-line.  ``[ulo, uhi]`` is the interval a face allows u and
+    ``[ylo, yhi]`` the one it allows the coordinate dual
+    y = rho*(u - w) + l + A^T mu.  A face with ``ulo == uhi`` pins u there and
+    y ranges over its interval (all of R where a Box has lower == upper); on a
+    free face y is fixed at ``ylo``.  Under the Zero regularizer every face is free.
+    """
     reg = qp.regularizer
-    d = qp.dim
     if isinstance(reg, BoxIndicator):
-        fixed = pattern != 0
-        fixed_vals = np.where(pattern < 0, reg.lower * np.ones(d), reg.upper * np.ones(d))
-    elif isinstance(reg, L1):
-        fixed = pattern == 0
-        fixed_vals = np.zeros(d)
-    else:
-        fixed = np.zeros(d, dtype=bool)
-        fixed_vals = np.zeros(d)
-    return fixed, fixed_vals
+        point = reg.lower == reg.upper
+        return (
+            np.where(pattern > 0, reg.upper, reg.lower),
+            np.where(pattern < 0, reg.lower, reg.upper),
+            np.where((pattern > 0) | point, -np.inf, 0.0),
+            np.where((pattern < 0) | point, np.inf, 0.0),
+        )
+    if isinstance(reg, L1):
+        y = -reg.weight * pattern
+        return (
+            np.where(pattern < 0, -np.inf, 0.0),
+            np.where(pattern > 0, np.inf, 0.0),
+            np.where(pattern == 0, -reg.weight, y),
+            np.where(pattern == 0, reg.weight, y),
+        )
+    zero = np.zeros(qp.dim)
+    return zero - np.inf, zero + np.inf, zero, zero
 
 
 def _solve_pattern_system(
     qp: CanonicalQp,
     active: np.ndarray,
     v_positive: bool,
-    pattern: np.ndarray,
-    r: Optional[np.ndarray] = None,
+    free: Optional[np.ndarray],
+    x: Optional[np.ndarray],
+    r: np.ndarray,
+    offsets: np.ndarray,
+    gamma: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve the equality KKT system for a fixed active set and coordinate pattern.
+    """Solve the equality KKT system for a fixed active set and face table.
 
-    The quadratic is ``rho*I``, so stationarity in the free coordinates F gives
-    ``u_F = (r_F - A_F^T mu) / rho`` with ``r = rho*w - l`` (minus
-    ``weight*pattern`` for L1).  Substituting it into the active hinges leaves
-    the Schur-complement system in the duals (range-space active-set step,
-    Nocedal & Wright ch. 16):
+    ``free`` marks the coordinates on free faces (None: all of them, the Zero
+    regularizer), ``x`` holds the values of the pinned ones and
+    ``r = rho*w - l + y`` the free faces' stationarity, with y their fixed
+    coordinate dual.  The quadratic is ``rho*I``, so stationarity in the free
+    coordinates F gives ``u_F = (r_F - A_F^T mu) / rho``.  Substituting it into
+    the active hinges leaves the Schur-complement system in the duals
+    (range-space active-set step, Nocedal & Wright ch. 16):
 
         [A_F A_F^T / rho  1] [mu]   [A_F r_F / rho + b_act + A_X x_X]
         [1^T              0] [v ] = [Gamma                          ]
 
     where X are the pinned coordinates, and the last row and column exist only
-    when v > 0.  It is solved by least squares so that duplicate and zero hinge
-    rows stay well handled: in a consistent system u is unique even when mu is
-    not.  A caller that makes many solves passes in ``r = rho*w - l``.
+    when v > 0.  ``offsets`` and ``gamma`` are b and Gamma, or the residuals
+    of a refinement step.  It is solved by least squares so that duplicate and
+    zero hinge rows stay well handled: in a consistent system u is unique even
+    when mu is not.
     """
-    if r is None:
-        r = qp.rho * qp.anchor - qp.linear
-    split = not isinstance(qp.regularizer, Zero)
-    if split:
-        fixed, fixed_vals = _pattern_split(qp, pattern)
-        free = ~fixed
-        if isinstance(qp.regularizer, L1):
-            r = r - qp.regularizer.weight * pattern
+    if free is not None:
+        pinned = ~free
         r = r[free]
     na = len(active)
     mu = np.zeros(qp.m)
@@ -230,52 +250,42 @@ def _solve_pattern_system(
     if na:
         A_act = qp.slopes[active]
         # the F-ordered copy A_act[:, free] makes: BLAS rounds C and F products differently
-        A_free = A_act[:, free] if split else A_act.copy(order="F")
+        A_free = A_act.copy(order="F") if free is None else A_act[:, free]
         n = na + 1 if v_positive else na
         K = np.zeros((n, n))
         K[:na, :na] = A_free @ A_free.T / qp.rho
         rhs = np.empty(n)
-        rhs[:na] = A_free @ r / qp.rho + qp.offsets[active]
-        if split and fixed.any():
-            rhs[:na] += A_act[:, fixed] @ fixed_vals[fixed]
+        rhs[:na] = A_free @ r / qp.rho + offsets[active]
+        if free is not None and pinned.any():
+            rhs[:na] += A_act[:, pinned] @ x[pinned]
         if v_positive:
             K[:na, na] = 1.0
             K[na, :na] = 1.0
-            rhs[na] = qp.hinge_weight
+            rhs[na] = gamma
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
         mu[active] = sol[:na]
         if v_positive:
             v = float(sol[na])
         r = r - A_free.T @ sol[:na]
-    if not split:
+    if free is None:
         return r / qp.rho, mu, v
-    u = fixed_vals
+    u = x.copy()  # x may be the caller's face table
     u[free] = r / qp.rho
     return u, mu, v
 
 
 def _refine_pattern(qp: CanonicalQp, u: np.ndarray, mu: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    reg = qp.regularizer
-    if isinstance(reg, Zero):
-        return pattern.copy()
+    """One pattern move per coordinate: a pinned coordinate whose dual leaves its
+    interval moves towards the dual's side, a free one whose u leaves its face
+    moves towards u (the moves of ``_dual_active_set``, in vector form)."""
+    ulo, uhi, ylo, yhi = _faces(qp, pattern)
     s = qp.rho * (u - qp.anchor) + qp.linear
     if qp.m:
         s = s + qp.slopes.T @ mu
-    new = pattern.copy()
-    if isinstance(reg, BoxIndicator):
-        free = pattern == 0
-        new[free & (u < reg.lower)] = -1
-        new[free & (u > reg.upper)] = 1
-        new[(pattern == -1) & (s < 0)] = 0
-        new[(pattern == 1) & (s > 0)] = 0
-    elif isinstance(reg, L1):
-        lam = reg.weight
-        clamped = pattern == 0
-        new[clamped & (s > lam)] = -1
-        new[clamped & (s < -lam)] = 1
-        nz = pattern != 0
-        new[nz & (np.sign(u) != pattern) & (u != 0.0)] = 0
-    return new
+    free = ulo < uhi
+    up = np.where(free, u > uhi, s < ylo)
+    down = np.where(free, u < ulo, s > yhi)
+    return pattern + up - down
 
 
 def _pattern_iteration(
@@ -284,12 +294,9 @@ def _pattern_iteration(
     v_positive: bool,
     pattern0: np.ndarray,
     max_rounds: int = 30,
-    solve: Optional[Callable] = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Alternate exact pattern solves and pattern refinement for ``max_rounds`` rounds.
-
-    ``solve`` is the pattern-system kernel, ``_solve_pattern_system`` unless
-    given (the dense oracle passes its own).
+    """Alternate exact pattern solves (``_solve_full_pattern_system``) and pattern
+    refinement for ``max_rounds`` rounds.
 
     Returns the solution of the last pattern visited.  The solve-then-refine
     map is deterministic, so once a pattern repeats the remaining rounds only
@@ -299,8 +306,7 @@ def _pattern_iteration(
     where the cycle starts at visit ``first``.  The result is bit-for-bit that
     of the full loop.
     """
-    solve = solve or _solve_pattern_system
-    solved = [solve(qp, active, v_positive, pattern0)]
+    solved = [_solve_full_pattern_system(qp, active, v_positive, pattern0)]
     seen = {pattern0.tobytes(): 0}
     pattern = pattern0
     for _ in range(max_rounds):
@@ -310,7 +316,7 @@ def _pattern_iteration(
         if first < len(solved):
             u, mu, v = solved[first + (max_rounds - first) % (len(solved) - first)]
             break
-        solved.append(solve(qp, active, v_positive, pattern))
+        solved.append(_solve_full_pattern_system(qp, active, v_positive, pattern))
     else:
         u, mu, v = solved[-1]
     if isinstance(qp.regularizer, BoxIndicator):
@@ -352,9 +358,9 @@ def solve_canonical_qp(
 
     ``warm`` may carry the previous iteration's solution; its active set and
     duals start the dual active-set loop, so the solve takes a single pattern
-    solve when the active set is unchanged.  If the loop's answer does not
-    certify, the dense test oracle is used as a fallback for small instances;
-    otherwise the answer is returned with ``converged=False``.
+    solve when the active set is unchanged.  An answer whose KKT residual is
+    above tol, from the prox-point shortcut or from the loop, is returned with
+    ``converged=False``.
     """
     if not (0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
@@ -368,37 +374,8 @@ def solve_canonical_qp(
         sol = _assemble(qp, u0, np.zeros(m), hinge0, np.empty(0, dtype=int), r0)
     if sol is None or (m and qp.hinge_weight and sol.kkt_residual > tol):
         sol = _dual_active_set(qp, tol, warm, u0)
-        if sol.kkt_residual > tol and max(m, qp.dim) <= _DENSE_LIMIT:
-            oracle = dense_oracle_qp(qp)
-            sol = oracle if oracle.kkt_residual <= tol else sol
-        sol.converged = bool(sol.kkt_residual <= tol)
+    sol.converged = bool(sol.kkt_residual <= tol)
     return sol
-
-
-def _dual_bounds(qp: CanonicalQp, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds that a Box or L1 pattern puts on the coordinate duals y = rho*(u - w) + l + A^T mu.
-
-    A free Box coordinate has y = 0 and a pinned one the sign that holds u in
-    the box (any sign when lower == upper); a nonzero L1 coordinate has
-    y = -weight*pattern and a zero one |y| <= weight.
-    """
-    reg = qp.regularizer
-    if isinstance(reg, L1):
-        fixed = -reg.weight * pattern
-        return np.where(pattern == 0, -reg.weight, fixed), np.where(pattern == 0, reg.weight, fixed)
-    lo, hi = np.where(pattern > 0, -np.inf, 0.0), np.where(pattern < 0, np.inf, 0.0)
-    fixed = reg.lower * np.ones(qp.dim) == reg.upper
-    lo[fixed], hi[fixed] = -np.inf, np.inf
-    return lo, hi
-
-
-def _face_violations(qp: CanonicalQp, pattern: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """How far each unpinned coordinate violates its face: a free Box coordinate
-    outside the box, a nonzero L1 coordinate of the wrong sign."""
-    reg = qp.regularizer
-    if isinstance(reg, L1):
-        return np.where(pattern != 0, -pattern * u, -np.inf)
-    return np.where(pattern == 0, np.maximum(reg.lower - u, u - reg.upper), -np.inf)
 
 
 def _min_ratio(c: np.ndarray, dc: np.ndarray, labels: np.ndarray, ray: bool, eps: float) -> tuple[float, int]:
@@ -417,17 +394,19 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
 
     A primal active-set method (Nocedal & Wright alg. 16.3) on the dual: a
     concave quadratic in the hinge duals mu, on {mu >= 0, sum mu <= Gamma},
-    and the coordinate duals y (``_dual_bounds``).  The working set is the
-    hinges held at equality, ``capped`` (sum mu = Gamma held, i.e. v >= 0
-    released; v is the cap's multiplier) and the coordinate pattern.  Each
-    step moves the duals towards the working set's pattern-system solution
-    until one reaches its bound and leaves, or the cap joins (ratio test); at
-    a full step the most violated hinge, v >= 0 or coordinate face joins, until
-    none is violated by more than tol / 10.  A system with no solution
-    (dependent hinge rows) leaves a working-hinge residual in the null space
-    of the dual Hessian, an ascent ray that the ratio test alone steps along.
-    The dual objective never decreases, so the loop is finite; a step cap
-    guards against rounding.
+    and the coordinate duals y in the intervals of the face table
+    (``_faces``).  The working set is the hinges held at equality, ``capped``
+    (sum mu = Gamma held, i.e. v >= 0 released; v is the cap's multiplier) and
+    the coordinate pattern.  Each step moves the duals towards the working
+    set's pattern-system solution until one reaches its bound and leaves, or
+    the cap joins (ratio test); at a full step the most violated hinge, v >= 0
+    or free face joins, until none is violated by more than tol / 10.  Every
+    pattern move is +-1: a pinned coordinate whose dual leaves its interval
+    moves against the dual's rate, a free one whose u leaves its face moves
+    towards u.  A system with no solution (dependent hinge rows) leaves a
+    working-hinge residual in the null space of the dual Hessian, an ascent
+    ray that the ratio test alone steps along.  The dual objective never
+    decreases, so the loop is finite; a step cap guards against rounding.
     """
     m, gamma, reg = qp.m, qp.hinge_weight, qp.regularizer
     eps = 0.1 * tol
@@ -442,14 +421,18 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
         if capped or total > gamma:  # start from a feasible dual point
             mu[work] = mu[work] * (gamma / total) if total > 0.0 else gamma / work.sum()
     pattern = _coordinate_pattern(qp, u, 1e-12 if warm is None else 1e-10)
-    coords = not isinstance(reg, Zero)
-    if coords:
-        lo, hi = _dual_bounds(qp, pattern)
-        y = np.clip(qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu, lo, hi)
     r = qp.rho * qp.anchor - qp.linear
+    coords = not isinstance(reg, Zero)
+    free = ulo = None  # the Zero regularizer: every coordinate free, no coordinate duals
+    r_free = r
+    if coords:
+        ulo, uhi, ylo, yhi = _faces(qp, pattern)
+        y = np.clip(qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu, ylo, yhi)
     for _ in range(10 * (m + qp.dim + 1)):  # finite in exact arithmetic; the cap guards rounding
         act = work.nonzero()[0]
-        u, mu_t, v = _solve_pattern_system(qp, act, capped, pattern, r)
+        if coords:
+            free, r_free = ulo < uhi, r + ylo
+        u, mu_t, v = _solve_pattern_system(qp, act, capped, free, ulo, r_free, qp.offsets, gamma)
         hinge = qp.offsets + qp.slopes @ u
         slack = hinge - v
         # a working-hinge residual above rounding (relative 1e-8 of the terms
@@ -471,8 +454,8 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
                     alpha, leaving = min((alpha, leaving), (float(c / -dc), m))
         if coords:
             dy = qp.slopes.T @ step if ray else qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu_t - y
-            bounded = np.flatnonzero(lo < hi)
-            cy, dcy = np.where(dy > 0.0, hi - y, y - lo)[bounded], -np.abs(dy[bounded])
+            bounded = np.flatnonzero(ylo < yhi)
+            cy, dcy = np.where(dy > 0.0, yhi - y, y - ylo)[bounded], -np.abs(dy[bounded])
             alpha, leaving = min((alpha, leaving), _min_ratio(cy, dcy, m + 1 + bounded, ray, eps))
         if alpha < np.inf:
             mu = np.maximum(mu + alpha * step, 0.0)
@@ -483,15 +466,15 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
                 mu[leaving] = 0.0
             else:
                 i = leaving - m - 1
-                pattern[i] = 0 if isinstance(reg, BoxIndicator) else -int(np.sign(dy[i]))
+                pattern[i] -= int(np.sign(dy[i]))
+                ulo, uhi, ylo, yhi = _faces(qp, pattern)
             if coords:
-                lo, hi = _dual_bounds(qp, pattern)
-                y = np.clip(y + alpha * dy, lo, hi)
+                y = np.clip(y + alpha * dy, ylo, yhi)
             continue
         if ray:  # unbounded: only rounding gets here
             break
         # full step to the working set's solution: add the most violated
-        # hinge, v >= 0 or coordinate face (a tie goes to the first of these)
+        # hinge, v >= 0 or free face (a tie goes to the first of these)
         mu = np.maximum(mu_t, 0.0)
         slack[act] = -np.inf
         j = int(slack.argmax())
@@ -499,11 +482,11 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
         if capped and -v > worst:
             j, worst = m, -v
         if coords:
-            y = np.clip(y + dy, lo, hi)
-            faces = _face_violations(qp, pattern, u)
-            i = int(faces.argmax())
-            if faces[i] > worst:
-                j, worst = m + 1 + i, faces[i]
+            y = np.clip(y + dy, ylo, yhi)
+            outside = np.where(free, np.maximum(ulo - u, u - uhi), -np.inf)
+            i = int(outside.argmax())
+            if outside[i] > worst:
+                j, worst = m + 1 + i, outside[i]
         if worst <= eps:
             break
         if j == m:
@@ -512,21 +495,20 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
             work[j] = True
         else:
             i = j - m - 1
-            pattern[i] = 0 if isinstance(reg, L1) else (1 if u[i] > np.broadcast_to(reg.upper, u.shape)[i] else -1)
-            lo, hi = _dual_bounds(qp, pattern)
-            y = np.clip(y, lo, hi)
+            pattern[i] += 1 if u[i] > uhi[i] else -1
+            ulo, uhi, ylo, yhi = _faces(qp, pattern)
+            y = np.clip(y, ylo, yhi)
     act = np.flatnonzero(work)
     box = isinstance(reg, BoxIndicator)
     # a clipped Box answer needs its own hinge values; the others keep the loop's
     sol = _assemble(qp, np.clip(u, reg.lower, reg.upper) if box else u, mu, v, act, None if box else hinge)
     if sol.kkt_residual > tol:
         # a tight tol can sit below the rounding of u = (r_F - A_F^T mu) / rho:
-        # one step of iterative refinement solves the same system with the
-        # working hinges' residual as offsets and nothing else, which keeps
-        # stationarity and sum mu
-        zero_reg = BoxIndicator(0.0 * u, 0.0 * u) if box else L1(0.0) if isinstance(reg, L1) else reg
-        residual = CanonicalQp(qp.rho, 0.0 * u, 0.0 * u, zero_reg, 0.0, hinge - v, qp.slopes)
-        du, dmu, dv = _solve_pattern_system(residual, act, capped, pattern)
+        # one step of iterative refinement solves the same system (the current
+        # face table) with the working hinges' residual as offsets and nothing
+        # else, which keeps stationarity and sum mu
+        free = ulo < uhi if coords else None
+        du, dmu, dv = _solve_pattern_system(qp, act, capped, free, 0.0 * u, np.zeros(qp.dim), hinge - v, 0.0)
         u = u + du
         refined = _assemble(qp, np.clip(u, reg.lower, reg.upper) if box else u, mu + dmu, v + dv, act)
         sol = min(sol, refined, key=lambda s: s.kkt_residual)
@@ -534,7 +516,7 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
 
 
 # ---------------------------------------------------------------------------
-# Dense enumeration oracle (tests only)
+# Dense enumeration oracle (a reference for the tests and the benchmark)
 
 
 def _solve_full_pattern_system(
@@ -549,11 +531,11 @@ def _solve_full_pattern_system(
     (u_F, mu, v), without eliminating u_F; slower, but it shares no algebra
     with the solver's kernel.
     """
-    reg = qp.regularizer
     d = qp.dim
     na = len(active)
-    fixed, fixed_vals = _pattern_split(qp, pattern)
-    free = ~fixed
+    ulo, uhi, ylo, _ = _faces(qp, pattern)
+    free = ulo < uhi
+    fixed = ~free
     nf = int(free.sum())
     nv = 1 if v_positive else 0
     n_unknown = nf + na + nv
@@ -566,9 +548,7 @@ def _solve_full_pattern_system(
     M[:nf, :nf] = qp.rho * np.eye(nf)
     if na:
         M[:nf, nf : nf + na] = A_act[:, free].T
-    rhs[:nf] = qp.rho * qp.anchor[free] - qp.linear[free]
-    if isinstance(reg, L1):
-        rhs[:nf] -= reg.weight * pattern[free]
+    rhs[:nf] = qp.rho * qp.anchor[free] - qp.linear[free] + ylo[free]
 
     # active hinges hold with equality: A_k u - v = -b_k
     if na:
@@ -577,7 +557,7 @@ def _solve_full_pattern_system(
             M[nf : nf + na, nf + na] = -1.0
         rhs[nf : nf + na] = -qp.offsets[active]
         if fixed.any():
-            rhs[nf : nf + na] -= A_act[:, fixed] @ fixed_vals[fixed]
+            rhs[nf : nf + na] -= A_act[:, fixed] @ ulo[fixed]
 
     # stationarity in v when v > 0: sum of hinge duals equals Gamma
     if v_positive:
@@ -585,9 +565,8 @@ def _solve_full_pattern_system(
         rhs[nf + na] = qp.hinge_weight
 
     sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    u = np.empty(d)
+    u = ulo.copy()
     u[free] = sol[:nf]
-    u[fixed] = fixed_vals[fixed]
     mu = np.zeros(qp.m)
     if na:
         mu[active] = sol[nf : nf + na]
@@ -672,7 +651,7 @@ def dense_oracle_qp(qp: CanonicalQp) -> QpSolution:
                     for seed in seed_fn(act, v_pos):
                         key = (subset, v_pos, seed.tobytes())
                         if key not in solved:
-                            u, mu, v = _pattern_iteration(qp, act, v_pos, seed, solve=_solve_full_pattern_system)
+                            u, mu, v = _pattern_iteration(qp, act, v_pos, seed)
                             finite = np.all(np.isfinite(u))
                             solved[key] = (qp_objective(qp, u), u, mu, v, act) if finite else None
                         keys[key] = None

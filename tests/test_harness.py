@@ -15,7 +15,6 @@ from ssqpbench import (
     read_trace,
     run_experiment,
     slope_fit,
-    wall_clock_model,
     write_trace,
 )
 from ssqpbench.cli import main as cli_main
@@ -60,6 +59,10 @@ class TestBenchConfig:
         del doc["gamma"]
         with pytest.raises(ConfigError):
             BenchConfig.from_dict(doc)
+
+    def test_cost_model_m_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="cost_model_m"):
+            BenchConfig.from_dict(quadratic_config(cost_model_m=0.5))
 
     def test_bad_algorithm(self):
         with pytest.raises(ConfigError):
@@ -185,6 +188,14 @@ class TestRunExperiment:
         plain = json.loads((tmp_path / "plain" / "metadata.json").read_text())
         assert plain["qp_nonconverged"] == {"0": 0, "1": 0}
 
+    def test_wall_column_is_the_cost_model(self, tmp_path):
+        cfg = BenchConfig.from_dict(quadratic_config(cost_model_m=10))
+        run_experiment(cfg, output_dir=tmp_path)
+        rows = read_trace(tmp_path / "ssqp_seed0.csv")
+        assert rows and any(r.qmo for r in rows)
+        for r in rows:
+            assert r.wall == r.sfo + 10 * r.qmo
+
     def test_counters_monotone_across_rows(self, tmp_path):
         cfg = BenchConfig.from_dict(quadratic_config(algorithm="varas", horizon=0,
                                                      epochs=6,
@@ -244,24 +255,6 @@ class TestSlopeFit:
         rows = synthetic_rows(200, metric=lambda t: (7.0 if t <= 20 else 4.0 / t))
         slope, _ = slope_fit(rows, "gap", mode="loglog")
         assert slope == pytest.approx(-1.0, abs=1e-9)
-
-
-class TestWallClockModel:
-    def test_arithmetic(self):
-        assert wall_clock_model(1167, 189, 10.0) == 3057.0
-
-    def test_unit_cost(self):
-        assert wall_clock_model(10, 5, 1.0) == 15.0
-
-    def test_crossover_formula(self):
-        # M at which sfo_a + M qmo_a equals sfo_b (baseline, qmo_b = 0)
-        sfo_a, qmo_a, sfo_b = 100.0, 20.0, 500.0
-        m_cross = (sfo_b - sfo_a) / qmo_a
-        assert wall_clock_model(sfo_a, qmo_a, m_cross) == pytest.approx(sfo_b)
-
-    def test_m_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            wall_clock_model(1.0, 1.0, 0.5)
 
 
 class TestCli:

@@ -13,7 +13,6 @@ from ssqpbench import (
     SkipSchedule,
     StreamingUnsupportedError,
     Zero,
-    bregman_divergence,
     full_gradient,
     sfo_query,
     ssqp_skip_run,
@@ -313,37 +312,6 @@ class TestFullGradient:
             full_gradient(problem, np.zeros(1))
 
 
-class TestBregman:
-    def quadratic(self):
-        def component_block(x, idx):
-            return np.full(len(idx), 0.5 * x[0] ** 2), np.full((len(idx), 1), x[0])
-
-        return ConstrainedProblem(
-            dim=1, n_components=1, component_block=component_block,
-            smoothness=1.0, constraint_smoothness=0.0,
-        )
-
-    def test_half_square(self):
-        # f = x^2/2: D_f(u, v) = (u-v)^2/2, so D(2, 0) = 2
-        problem = self.quadratic()
-        assert bregman_divergence(problem, np.array([2.0]), np.array([0.0])) == pytest.approx(2.0)
-
-    def test_identical_points(self):
-        problem = self.quadratic()
-        assert bregman_divergence(problem, np.array([1.3]), np.array([1.3])) == 0.0
-
-    def test_quadratic_closed_form(self):
-        problem = random_quadratic_problem(seed=5, dim=4, n=6)
-        rng = np.random.default_rng(1)
-        u, v = rng.standard_normal(4), rng.standard_normal(4)
-        # mean Hessian from the mean gradient map (exact for quadratics)
-        q = np.column_stack(
-            [full_gradient(problem, e) - full_gradient(problem, np.zeros(4)) for e in np.eye(4)]
-        )
-        expected = 0.5 * (u - v) @ q @ (u - v)
-        assert bregman_divergence(problem, u, v) == pytest.approx(expected, rel=1e-10)
-
-
 class TestShippedProblemInvariants:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_convexity_spot_check(self, seed):
@@ -351,7 +319,9 @@ class TestShippedProblemInvariants:
         rng = np.random.default_rng(seed + 100)
         for _ in range(100):
             u, v = rng.standard_normal(4), rng.standard_normal(4)
-            assert bregman_divergence(problem, u, v) >= -1e-10
+            # the Bregman divergence f(u) - f(v) - <grad f(v), u - v> of a convex f is >= 0
+            divergence = problem.objective_value(u) - problem.objective_value(v) - full_gradient(problem, v) @ (u - v)
+            assert divergence >= -1e-10
 
     def test_unbiasedness_over_singletons(self):
         problem = random_quadratic_problem(seed=2, dim=3, n=11)

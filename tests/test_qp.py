@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +21,11 @@ from ssqpbench import (
 import ssqpbench.qp_subproblem as qp_subproblem
 from ssqpbench.qp_subproblem import (
     _coordinate_pattern,
+    _faces,
     _pattern_iteration,
     _primal_from_dual,
     _refine_pattern,
+    _solve_full_pattern_system,
     _solve_pattern_system,
 )
 
@@ -63,6 +64,26 @@ def random_regularizer(rng, d):
         lo = rng.uniform(-2.0, 0.0, size=d)
         return BoxIndicator(lower=lo, upper=lo + rng.uniform(0.5, 3.0, size=d))
     return L1(weight=float(rng.uniform(0.0, 2.0)))
+
+
+def duality_gap(qp, u, mu):
+    """P(u) - D(mu) for the canonical QP, an error bound that shares no kernel with the solver.
+
+    mu is first scaled into the capped simplex {mu >= 0, sum mu <= Gamma}.
+    There the dual function of the epigraph QP has the closed form
+    D(mu) = mu.b + (rho/2)||u(mu) - w||^2 + <l + A^T mu, u(mu)> + h(u(mu)) with
+    u(mu) = prox_h(w - (l + A^T mu) / rho).  By weak duality the gap is >= 0,
+    and by strong convexity ||u - u*||^2 <= 2 * gap / rho.
+    """
+    mu = np.maximum(np.asarray(mu, dtype=float), 0.0)
+    total = mu.sum()
+    if total > qp.hinge_weight:
+        mu = mu * (qp.hinge_weight / total)
+    shift = qp.linear + qp.slopes.T @ mu
+    u_mu = qp.regularizer.prox(qp.anchor - shift / qp.rho, qp.rho)
+    diff = u_mu - qp.anchor
+    dual = float(mu @ qp.offsets) + 0.5 * qp.rho * float(diff @ diff) + float(shift @ u_mu)
+    return qp_objective(qp, u) - (dual + qp.regularizer.value(u_mu))
 
 
 def cycling_box_instance():
@@ -146,6 +167,13 @@ class TestClosedFormCases:
         vals = 0.5 * grid**2 + 10.0 * np.maximum(1.0 - grid, 0.0)
         best = grid[int(np.argmin(vals))]
         assert solve_canonical_qp(qp).u[0] == pytest.approx(best, abs=1e-6)
+
+    def test_prox_shortcut_reports_its_residual(self):
+        # u = w - l/rho rounds to a stationarity defect of 6.1e-5 here, far
+        # above tol: the prox-point answer must not claim to be certified
+        sol = solve_canonical_qp(make_qp(rho=1e6, anchor=[1e6], linear=[1.234567891e11]))
+        assert sol.kkt_residual > 1e-5
+        assert sol.converged is False
 
     def test_slack_hinge_equals_prox(self):
         # hinge strictly inactive at the unconstrained point
@@ -232,6 +260,23 @@ class TestDenseOracle:
         with pytest.raises(ValueError):
             dense_oracle_qp(random_instance(rng, d=9, m=2, regularizer=Zero()))
 
+    def test_coinciding_box_faces_agree_with_solver(self):
+        # the second coordinate is pinned by lower == upper whatever its
+        # pattern says, so the oracle may not free it when its dual turns
+        # negative; it once returned u = (-1, -1.5), objective -2.063875
+        qp = make_qp(
+            rho=0.025, anchor=[-0.3, -1.5], linear=[0.6, 1.3],
+            regularizer=BoxIndicator(lower=np.array([-1.0, -1.5]), upper=np.array([0.7, -1.5])),
+            gamma=2.4, offsets=[-0.8], slopes=[[-1.3, 0.2]],
+        )
+        sol = solve_canonical_qp(qp)
+        oracle = dense_oracle_qp(qp)
+        assert sol.converged and oracle.kkt_residual <= 1e-9
+        np.testing.assert_allclose(sol.u, [-11.0 / 13.0, -1.5], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(oracle.u, sol.u, rtol=0, atol=1e-9)
+        for ans in (sol, oracle):
+            assert abs(duality_gap(qp, ans.u, ans.mu)) <= 1e-12
+
     def test_duals_certify_among_tied_candidates(self):
         qp = tied_box_instance()
         sol = dense_oracle_qp(qp)
@@ -246,7 +291,7 @@ class TestPatternIteration:
 
         Also reports whether a pattern other than a fixed point came round again.
         """
-        u, mu, v = _solve_pattern_system(qp, active, v_positive, pattern)
+        u, mu, v = _solve_full_pattern_system(qp, active, v_positive, pattern)
         visited = [pattern.tobytes()]
         for _ in range(max_rounds):
             new = _refine_pattern(qp, u, mu, pattern)
@@ -254,7 +299,7 @@ class TestPatternIteration:
                 break
             pattern = new
             visited.append(pattern.tobytes())
-            u, mu, v = _solve_pattern_system(qp, active, v_positive, pattern)
+            u, mu, v = _solve_full_pattern_system(qp, active, v_positive, pattern)
         u = np.clip(u, qp.regularizer.lower, qp.regularizer.upper)
         return (u, mu, v), len(set(visited)) < len(visited)
 
@@ -276,6 +321,14 @@ class TestPatternIteration:
                         assert got[1].tobytes() == want[1].tobytes()
                         assert got[2] == want[2]
         assert cycling_runs > 0
+
+
+def pattern_solve(qp, active, v_positive, pattern):
+    """The active-set loop's pattern solve: the reduced kernel on the face table of ``pattern``."""
+    ulo, uhi, ylo, _ = _faces(qp, pattern)
+    free = None if isinstance(qp.regularizer, Zero) else ulo < uhi
+    r = qp.rho * qp.anchor - qp.linear + ylo
+    return _solve_pattern_system(qp, active, v_positive, free, ulo, r, qp.offsets, qp.hinge_weight)
 
 
 def full_kkt_solve(qp, active, v_positive, pattern):
@@ -347,7 +400,7 @@ class TestReducedKernel:
                 pattern[:3] = 0
             else:
                 pattern[:3] = rng.choice([-1, 1], size=3)
-            u, mu, v = _solve_pattern_system(qp, active, v_positive, pattern)
+            u, mu, v = pattern_solve(qp, active, v_positive, pattern)
             u_ref, mu_ref, v_ref = full_kkt_solve(qp, active, v_positive, pattern)
             np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
             np.testing.assert_allclose(mu, mu_ref, rtol=0, atol=1e-10)
@@ -365,7 +418,7 @@ class TestReducedKernel:
                          hinge_weight=qp.hinge_weight, offsets=offsets, slopes=slopes)
         active = np.array([0, 1, 2])
         pattern = np.zeros(4, dtype=int)
-        u, mu, v = _solve_pattern_system(qp, active, v_positive, pattern)
+        u, mu, v = pattern_solve(qp, active, v_positive, pattern)
         u_ref, mu_ref, v_ref = full_kkt_solve(qp, active, v_positive, pattern)
         np.testing.assert_allclose(u, u_ref, rtol=0, atol=1e-10)
         np.testing.assert_allclose(qp.slopes.T @ mu, qp.slopes.T @ mu_ref, rtol=0, atol=1e-10)
@@ -453,6 +506,16 @@ class TestConstruction:
         data[field].flat[-1] = bad
         with pytest.raises(ValueError, match="subproblem data must be finite"):
             CanonicalQp(rho=1.0, regularizer=Zero(), hinge_weight=1.0, **data)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("rho", -1.0), ("rho", np.inf), ("rho", np.nan),
+         ("hinge_weight", -1.0), ("hinge_weight", np.inf), ("hinge_weight", np.nan)],
+    )
+    def test_rejects_bad_scalars(self, field, bad):
+        scalars = {"rho": 1.0, "hinge_weight": 1.0, field: bad}
+        with pytest.raises(ValueError, match=field.replace("_", " ")):
+            CanonicalQp(regularizer=Zero(), **scalars, **self.data())
 
     def test_accepts_huge_finite_data(self):
         # a sum or a dot product over these entries overflows; the check must not
@@ -612,11 +675,12 @@ def canonical_qps(draw, regularizer=st.sampled_from(["zero", "box", "l1"]), rho=
 
 
 def assert_loop_certifies(qp, tol=1e-9, warm=None):
-    """The active-set loop alone certifies qp to tol and is no worse than the dense oracle."""
-    with mock.patch.object(qp_subproblem, "dense_oracle_qp", side_effect=AssertionError("dense fallback")):
-        sol = solve_canonical_qp(qp, tol=tol, warm=warm)
+    """The solver certifies qp to tol, its duality gap closes and it is no worse than the dense oracle."""
+    sol = solve_canonical_qp(qp, tol=tol, warm=warm)
     assert sol.converged is True and sol.sweeps == 0
     assert kkt_residual(qp, sol) <= tol
+    # |gap| is rounding-level (below 1e-13 on every drawn QP); rounding can make it slightly negative
+    assert abs(duality_gap(qp, sol.u, sol.mu)) <= tol * (1.0 + abs(sol.objective))
     if qp.dim <= 6 and qp.m <= 6:
         # objectives, not u: the oracle's u is wrong on some small-rho degenerate QPs
         ref = dense_oracle_qp(qp)
