@@ -67,7 +67,6 @@ from .problems import (
     minimal_feasible_tolerance,
     path_from_decision,
     random_quadratic_problem,
-    solve_kkt_quadratic,
     straight_line_path,
     usv_component_block,
 )

@@ -244,8 +244,9 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
     writes its partial trace and a seed whose oracle evaluation is non-finite
     writes none; the other seeds still run, ``metadata.json`` records each
     seed's status (``ok``, ``diverged`` or ``non-finite``) and, under
-    ``qp_nonconverged``, its count of QMO answers that did not certify (null
-    for a non-finite seed); the first such error is then re-raised.
+    ``qp_nonconverged``, its count of QMO answers that did not certify, and
+    under ``sfo_calls``/``qmo_calls`` its oracle counts at the end of the run
+    (each null for a non-finite seed); the first such error is then re-raised.
     """
     problem, x0 = build_problem(config)
     schedule = build_schedule(config, problem)
@@ -265,6 +266,8 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
     trace_files = {}
     seed_status = {}
     qp_nonconverged = {}
+    sfo_calls = {}
+    qmo_calls = {}
     first_error = None
     started = time.time()
     for seed in config.seeds:
@@ -274,7 +277,7 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
             write_trace(out / fname, [])
             trace_files[seed] = fname
             seed_status[seed] = "ok"
-            qp_nonconverged[seed] = 0
+            qp_nonconverged[seed] = sfo_calls[seed] = qmo_calls[seed] = 0
             continue
         run_cfg = RunConfig(
             gamma=config.gamma,
@@ -306,10 +309,12 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
         except NonFiniteEvaluationError as exc:
             (out / fname).unlink(missing_ok=True)  # no stale trace from an earlier run
             seed_status[seed] = "non-finite"
-            qp_nonconverged[seed] = None
+            qp_nonconverged[seed] = sfo_calls[seed] = qmo_calls[seed] = None
             first_error = first_error or exc
             continue
         qp_nonconverged[seed] = counters.qmo_nonconverged
+        sfo_calls[seed] = counters.sfo_calls
+        qmo_calls[seed] = counters.qmo_calls
         write_trace(out / fname, trace.rows)
         trace_files[seed] = fname
 
@@ -322,6 +327,8 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
         "trace_files": {str(k): v for k, v in trace_files.items()},
         "seed_status": {str(k): v for k, v in seed_status.items()},
         "qp_nonconverged": {str(k): v for k, v in qp_nonconverged.items()},
+        "sfo_calls": {str(k): v for k, v in sfo_calls.items()},
+        "qmo_calls": {str(k): v for k, v in qmo_calls.items()},
         "measured_seconds_informational": time.time() - started,
     }
     (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")

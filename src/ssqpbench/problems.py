@@ -10,13 +10,11 @@ used as the instrumentation oracle in tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .penalty import penalty_objective
 from .problem_model import ConstrainedProblem, full_gradient
@@ -36,7 +34,6 @@ __all__ = [
     "random_quadratic_problem",
     "brute_force_optimum",
     "ReferenceSolveError",
-    "solve_kkt_quadratic",
 ]
 
 
@@ -249,8 +246,11 @@ def minimal_feasible_tolerance(features: np.ndarray, labels: np.ndarray) -> floa
     """Smallest r for which some theta satisfies (y_k - x_k theta)^2 <= r for all k.
 
     Solved as the Chebyshev (minimax absolute residual) linear program; the
-    minimal cap is the squared minimax residual.
+    minimal cap is the squared minimax residual.  SciPy's optimizer is imported
+    here, so only a regression build pays for loading it.
     """
+    from scipy.optimize import linprog
+
     n, d = features.shape
     # variables (theta, t): minimize t s.t. -t <= y - X theta <= t
     c = np.zeros(d + 1)
@@ -529,48 +529,3 @@ def brute_force_optimum(
     if not converged:
         raise ReferenceSolveError(f"reference solve did not reach tol={tol:g} in {max_iters} iterations")
     return x, penalty_objective(problem, gamma, x)
-
-
-def solve_kkt_quadratic(
-    q: np.ndarray, c: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact minimizer of min 0.5 x'Qx + c'x s.t. Ax <= b by active-set enumeration.
-
-    Test oracle for small toys (Q positive definite).  Returns (x, duals).
-    """
-    q = np.asarray(q, dtype=float)
-    c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float).reshape(-1, q.shape[0])
-    b = np.asarray(b, dtype=float).reshape(-1)
-    m = len(b)
-    best = None
-    best_val = np.inf
-    for size in range(m + 1):
-        for subset in itertools.combinations(range(m), size):
-            s = list(subset)
-            k = len(s)
-            kkt = np.zeros((q.shape[0] + k, q.shape[0] + k))
-            kkt[: q.shape[0], : q.shape[0]] = q
-            if k:
-                kkt[: q.shape[0], q.shape[0] :] = a[s].T
-                kkt[q.shape[0] :, : q.shape[0]] = a[s]
-            rhs = np.concatenate([-c, b[s]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x = sol[: q.shape[0]]
-            lam = sol[q.shape[0] :]
-            if np.any(lam < -1e-9):
-                continue
-            if m and np.any(a @ x - b > 1e-9):
-                continue
-            val = float(0.5 * x @ q @ x + c @ x)
-            if val < best_val:
-                best_val = val
-                duals = np.zeros(m)
-                duals[s] = np.maximum(lam, 0.0)
-                best = (x, duals)
-    if best is None:
-        raise RuntimeError("no KKT point found (infeasible or degenerate toy)")
-    return best

@@ -28,7 +28,6 @@ from ssqpbench import (
     kkt_residual,
     sfo_query,
     solve_canonical_qp,
-    solve_kkt_quadratic,
     ssqp_run,
     ssqp_skip_run,
     ssqp_step,
@@ -52,6 +51,8 @@ from ssqpbench.problems import (
     random_quadratic_problem,
     straight_line_path,
 )
+
+from kkt_oracle import solve_kkt_quadratic
 
 
 def _report(k, ok, details):

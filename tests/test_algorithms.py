@@ -20,7 +20,6 @@ from ssqpbench import (
     dense_oracle_qp,
     primal_dual_run,
     sfo_query,
-    solve_kkt_quadratic,
     ssqp_run,
     ssqp_skip_run,
     ssqp_step,
@@ -29,6 +28,8 @@ from ssqpbench import (
 )
 from ssqpbench.algorithms import _CHUNK, _Run
 from ssqpbench.problems import random_quadratic_problem
+
+from kkt_oracle import solve_kkt_quadratic
 
 
 def batch_stream(seed):

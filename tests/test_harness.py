@@ -10,6 +10,7 @@ import pytest
 from ssqpbench import (
     BenchConfig,
     ConfigError,
+    DivergenceError,
     TraceRow,
     calls_to_threshold,
     read_trace,
@@ -187,6 +188,29 @@ class TestRunExperiment:
             assert (tmp_path / "flaky" / fname).read_bytes() == (tmp_path / "plain" / fname).read_bytes()
         plain = json.loads((tmp_path / "plain" / "metadata.json").read_text())
         assert plain["qp_nonconverged"] == {"0": 0, "1": 0}
+
+    def test_per_seed_oracle_counts(self, tmp_path):
+        # a completed seed's counts are those of its final trace row
+        cfg = BenchConfig.from_dict(quadratic_config(seeds=[0, 1]))
+        meta = run_experiment(cfg, output_dir=tmp_path / "ok")
+        saved = json.loads((tmp_path / "ok" / "metadata.json").read_text())
+        for seed, fname in meta["trace_files"].items():
+            last = read_trace(tmp_path / "ok" / fname)[-1]
+            assert last.iteration == 50
+            assert saved["sfo_calls"][seed] == last.sfo
+            assert saved["qmo_calls"][seed] == last.qmo
+        # a diverged seed has no row for the step that tripped the guard; with a
+        # row every step, its counts are the final row's plus that one step
+        cfg = BenchConfig.from_dict(quadratic_config(
+            schedule={"kind": "tuned_constant", "eta": 1e6}, horizon=2000, checkpoint_stride=1))
+        with pytest.raises(DivergenceError):
+            run_experiment(cfg, output_dir=tmp_path / "div")
+        saved = json.loads((tmp_path / "div" / "metadata.json").read_text())
+        assert saved["seed_status"] == {"0": "diverged"}
+        last = read_trace(tmp_path / "div" / "ssqp_seed0.csv")[-1]
+        assert last.iteration < 2000
+        assert saved["sfo_calls"] == {"0": last.sfo + 1}
+        assert saved["qmo_calls"] == {"0": last.qmo + 1}
 
     def test_wall_column_is_the_cost_model(self, tmp_path):
         cfg = BenchConfig.from_dict(quadratic_config(cost_model_m=10))
@@ -418,16 +442,18 @@ class TestCli:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["seed_status"] == {"0": "non-finite"}
         assert meta["qp_nonconverged"] == {"0": None}
+        assert meta["sfo_calls"] == meta["qmo_calls"] == {"0": None}
         assert meta["trace_files"] == {}
         assert not list(out.glob("*.csv"))
 
     def test_failed_feasibility_lp_exit_code(self, tmp_path, capsys, monkeypatch):
-        import ssqpbench.problems
+        import scipy.optimize
 
         def failing_linprog(*args, **kwargs):
             return SimpleNamespace(success=False, message="solver gave up")
 
-        monkeypatch.setattr(ssqpbench.problems, "linprog", failing_linprog)
+        # the LP's import runs inside minimal_feasible_tolerance, so it sees the patch
+        monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
         problem = {"kind": "regression", "seed": 4, "d": 3, "n": 20, "critical": 4,
                    "tolerance": 5.0}
         cfg = self.write_config(tmp_path, problem=problem, output_dir=str(tmp_path / "out"))
@@ -439,11 +465,12 @@ class TestCli:
         assert "feasibility LP failed" in err and "reference solve failed" not in err
 
     def test_failed_reference_solve_exit_code(self, tmp_path, capsys, monkeypatch):
+        import scipy.optimize
+
         import ssqpbench.cli
-        import ssqpbench.problems
 
         built = []
-        linprog = ssqpbench.problems.linprog
+        linprog = scipy.optimize.linprog
 
         def recording_linprog(*args, **kwargs):
             built.append(1)
@@ -452,7 +479,7 @@ class TestCli:
         def failing_solve(*args, **kwargs):
             raise RuntimeError("reference solve did not reach tol")
 
-        monkeypatch.setattr(ssqpbench.problems, "linprog", recording_linprog)
+        monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
         monkeypatch.setattr(ssqpbench.cli, "brute_force_optimum", failing_solve)
         problem = {"kind": "regression", "seed": 4, "d": 3, "n": 20, "critical": 4,
                    "tolerance": 5.0}

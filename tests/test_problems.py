@@ -12,11 +12,12 @@ from ssqpbench import (
     minimal_feasible_tolerance,
     path_from_decision,
     random_quadratic_problem,
-    solve_kkt_quadratic,
     straight_line_path,
     usv_component_block,
 )
 from ssqpbench.problems import InfeasibleToleranceError, load_regression_csv
+
+from kkt_oracle import solve_kkt_quadratic
 
 
 def finite_difference_jacobian(fn, x, h=1e-5):
