@@ -412,48 +412,21 @@ def ssqp_skip_run(
 # VARAS
 
 
-def _varas_zqp(
-    y: np.ndarray,
-    z_prev: np.ndarray,
-    z_plus: np.ndarray,
-    n_tilde: np.ndarray,
-    cvals: np.ndarray,
-    cgrads: np.ndarray,
-    alpha: float,
-    beta: float,
-    mu: float,
-    gamma: float,
-    regularizer,
-) -> CanonicalQp:
-    """Reduce the z-update to canonical form.
-
-    The z-update objective is alpha*beta*(<n~, u> + (mu/2)||y - u||^2 + h(u))
-    + (alpha/2)||z_prev - u||^2 + gamma*beta*max-hinge of the constraint
-    linearizations evaluated against z_plus with slope alpha*grad g_k.
-    """
-    rho = alpha * beta * mu + alpha
-    anchor = (alpha * beta * mu * y + alpha * z_prev) / rho
-    offsets = cvals - alpha * (cgrads @ z_plus)
-    return CanonicalQp(
-        rho=rho,
-        anchor=anchor,
-        linear=alpha * beta * n_tilde,
-        regularizer=regularizer.scaled(alpha * beta),
-        hinge_weight=gamma * beta,
-        offsets=offsets,
-        slopes=alpha * cgrads,
-    )
-
-
 def varas_run(
     problem: ConstrainedProblem, config: RunConfig
 ) -> tuple[np.ndarray, RunTrace, OracleCounters]:
     """Run VARAS for config.epochs epochs; returns (final snapshot, trace, counters).
 
-    Each epoch takes one full gradient pass (n SFO) plus one SFO per inner
-    iteration (the variance-reduced gradient pairs two component evaluations
-    at the shared index).  A trace row is emitted per epoch at the new
-    snapshot.
+    Each epoch takes one full gradient pass (n SFO) and keeps its per-component
+    table.  Each inner iteration makes one SFO query at y for the drawn index
+    i; the variance-reduced gradient n~ = grad f_i(y) - grad f_i(x~) + grad f(x~)
+    reads grad f_i(x~) from the table, so an inner step evaluates one
+    component.  A trace row is emitted per epoch at the new snapshot.
+
+    The z-update minimizes alpha*beta*(<n~, u> + (mu/2)||y - u||^2 + h(u))
+    + (alpha/2)||z_prev - u||^2 + gamma*beta*max-hinge of the constraint
+    linearizations evaluated against z_plus with slope alpha*grad g_k; it is
+    solved in canonical form.
     """
     schedule = config.schedule
     if not isinstance(schedule, VarasSchedule):
@@ -470,27 +443,39 @@ def varas_run(
     run.checkpoint(0, snapshot)
     last_qp: Optional[QpSolution] = None
     for s in range(1, config.epochs + 1):
-        snap_grad = full_gradient(problem, snapshot, counters)
+        snap_grad, snap_table = full_gradient(problem, snapshot, counters)
         alpha, beta, omega, t_s = schedule.epoch_params(s)
         weights = schedule.normalized_theta(s)
+        # per-epoch constants, each formed in the order the step formulas use
+        mb = mu * beta
+        one_mb = 1 + mb
+        y_prev_coef = one_mb * (1 - alpha - omega)
+        y_snap_term = one_mb * omega * snapshot
+        y_denom = 1 + mb * (1 - alpha)
+        x_prev_coef = 1 - alpha - omega
+        x_snap_term = omega * snapshot
+        ab = alpha * beta
+        abm = ab * mu
+        rho = abm + alpha
+        regularizer = problem.regularizer.scaled(ab)
+        hinge_weight = gamma * beta
         x_prev = snapshot.copy()
         x_mix = np.zeros_like(x_prev)
         for t in range(1, t_s + 1):
-            y = (
-                (1 + mu * beta) * (1 - alpha - omega) * x_prev
-                + alpha * z
-                + (1 + mu * beta) * omega * snapshot
-            ) / (1 + mu * beta * (1 - alpha))
-            z_plus = (z + mu * beta * y) / (1 + mu * beta)
+            y = (y_prev_coef * x_prev + alpha * z + y_snap_term) / y_denom
+            z_plus = (z + mb * y) / one_mb
             idx = run.batch(1)
-            _, ggrads = problem.component_values_grads(y, idx)
-            _, snap_ggrads = problem.component_values_grads(snapshot, idx)
-            counters.sfo_calls += 1
-            n_tilde = ggrads[0] - snap_ggrads[0] + snap_grad
-            cvals, cgrads = problem.constraint_values_grads(y)
-            qp = _varas_zqp(
-                y, z, z_plus, n_tilde, cvals, cgrads,
-                alpha, beta, mu, gamma, problem.regularizer,
+            sample = sfo_query(problem, y, idx, counters)
+            n_tilde = sample.stochastic_gradient - snap_table[idx[0]] + snap_grad
+            cgrads = sample.constraint_gradients
+            qp = CanonicalQp(
+                rho=rho,
+                anchor=(abm * y + alpha * z) / rho,
+                linear=ab * n_tilde,
+                regularizer=regularizer,
+                hinge_weight=hinge_weight,
+                offsets=sample.constraint_values - alpha * (cgrads @ z_plus),
+                slopes=alpha * cgrads,
             )
             sol = solve_canonical_qp(qp, tol=config.qp_tol, warm=last_qp)
             counters.qmo_calls += 1
@@ -498,7 +483,7 @@ def varas_run(
                 counters.qmo_nonconverged += 1
             last_qp = sol
             z_new = sol.u
-            x_new = (1 - alpha - omega) * x_prev + alpha * z_new + omega * snapshot
+            x_new = x_prev_coef * x_prev + alpha * z_new + x_snap_term
             x_mix = x_mix + weights[t - 1] * x_new
             if config.record_steps:
                 run.trace.steps.append(

@@ -164,7 +164,8 @@ class ConstrainedProblem:
       returns ``(vals (b,), grads (b, dim))``, row j holding ``f_idx[j](x)``
       and its gradient.  When ``n_components`` is 0 the objective is
       streaming: any integer index is a fresh draw and full-pass operations
-      are unavailable.
+      are unavailable.  The returned arrays must not be written by later
+      calls: VARAS reads a full pass's gradient rows for a whole epoch.
     - ``constraint_block(x)`` returns ``(vals (m,), grads (m, dim))``, row k
       holding ``g_k(x)`` and its gradient.  It is required exactly when
       ``m > 0``.
@@ -277,8 +278,14 @@ def full_gradient(
     problem: ConstrainedProblem,
     x: np.ndarray,
     counters: Optional[OracleCounters] = None,
-) -> np.ndarray:
-    """Exact mean gradient over all n components; costs n SFO calls and one full pass."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mean gradient over all n components, and the (n, dim) table it averages.
+
+    Costs n SFO calls and one full pass.  Row i of the table is the gradient of
+    f_i at x, as the pass's one block evaluation computed it; VARAS reads its
+    snapshot gradients from there instead of evaluating f_i again.  The table
+    is finite whenever the mean is.
+    """
     if problem.is_streaming:
         raise StreamingUnsupportedError("full gradient needs a finite sum")
     x = np.asarray(x, dtype=float)
@@ -289,4 +296,4 @@ def full_gradient(
     if counters is not None:
         counters.sfo_calls += problem.n_components
         counters.full_gradient_passes += 1
-    return grad
+    return grad, grads

@@ -11,7 +11,7 @@ used as the instrumentation oracle in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,9 @@ class UsvProblem:
 
     The decision vector stacks the T-2 interior waypoints; the fixed endpoints
     are substituted during evaluation, leaving m = T-1 squared-speed
-    constraints ||p(t) - p(t+1)||^2 <= v_max^2.
+    constraints ||p(t) - p(t+1)||^2 <= v_max^2.  The current ensemble is fixed
+    once built: the arrays become read-only, and W_i^T and I - W_i are formed
+    here once for every evaluation.
     """
 
     horizon: int  # waypoint count T
@@ -57,6 +59,15 @@ class UsvProblem:
     p_start: np.ndarray
     p_dest: np.ndarray
     region: float  # half-width, informational
+    w_transposed: np.ndarray = field(init=False, repr=False)  # (n, 2, 2), contiguous
+    i_minus_w: np.ndarray = field(init=False, repr=False)  # (n, 2, 2)
+
+    def __post_init__(self):
+        self.currents_w.flags.writeable = False
+        self.currents_z.flags.writeable = False
+        # a contiguous copy: matmul takes its fast path, with the same rounding
+        self.w_transposed = np.ascontiguousarray(self.currents_w.transpose(0, 2, 1))
+        self.i_minus_w = np.eye(2) - self.currents_w
 
     @property
     def n(self) -> int:
@@ -138,31 +149,33 @@ def usv_component_block(usv: UsvProblem, x: np.ndarray, idx: np.ndarray) -> tupl
     r_t = (I - W_i) p(t) - p(t+1) - z_i is the required through-water velocity
     of segment t; d||r||^3/dr = 3 ||r|| r flows to the waypoints by the chain
     rule, with the endpoint contributions dropped.  Returns values (b,) and
-    gradients (b, dim) for the b indices.
+    gradients (b, dim) for the b indices; row j depends on ``idx[j]`` alone.
     """
     path = path_from_decision(usv, x)
-    w = usv.currents_w[idx]  # (b, 2, 2)
-    eff = path[:-1] - path[:-1] @ w.transpose(0, 2, 1)  # (I - W_i) p(t) rows
+    head = path[:-1]
+    eff = head - head @ usv.w_transposed[idx]  # (I - W_i) p(t) rows
     resid = eff - path[1:] - usv.currents_z[idx][:, None, :]  # (b, T-1, 2)
-    norms = np.linalg.norm(resid, axis=-1)
+    # the 2-norm of each row, computed as np.linalg.norm does
+    norms = np.sqrt(np.add.reduce(resid * resid, -1))
     values = np.sum(norms**3, axis=-1)
 
-    grad_path = np.zeros((len(w), usv.horizon, 2))
     weighted = 3.0 * norms[..., None] * resid
-    grad_path[:, :-1] += weighted @ (np.eye(2) - w)
-    grad_path[:, 1:] -= weighted
-    return values, grad_path[:, 1:-1].reshape(len(w), usv.dim)
+    # interior waypoint t gets segment t through (I - W_i) and segment t-1 negated
+    grads = (weighted @ usv.i_minus_w[idx])[:, 1:] - weighted[:, :-1]
+    return values, grads.reshape(len(idx), usv.dim)
 
 
 def _usv_constraint_bundle(usv: UsvProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     path = path_from_decision(usv, x)
     diffs = path[:-1] - path[1:]  # (T-1, 2)
     vals = np.einsum("ij,ij->i", diffs, diffs) - usv.v_max**2
-    grads = np.zeros((usv.m, usv.horizon, 2))
-    rows = np.arange(usv.m)
-    grads[rows, rows] += 2.0 * diffs
-    grads[rows, rows + 1] -= 2.0 * diffs
-    return vals, grads[:, 1:-1, :].reshape(usv.m, usv.dim)
+    # segment k moves interior waypoints k-1 (by +2 diffs) and k (by -2 diffs)
+    twice = 2.0 * diffs
+    grads = np.zeros((usv.m, usv.horizon - 2, 2))
+    rows = np.arange(usv.m - 1)
+    grads[rows + 1, rows] = twice[1:]
+    grads[rows, rows] = -twice[:-1]
+    return vals, grads.reshape(usv.m, usv.dim)
 
 
 def make_usv_problem(
@@ -485,7 +498,7 @@ def brute_force_optimum(
     converged = False
     stalls = 0
     for it in range(max_iters):
-        grad = full_gradient(problem, x)
+        grad = full_gradient(problem, x)[0]
         cvals, cgrads = problem.constraint_values_grads(x)
         offsets = cvals - cgrads @ x if len(cvals) else cvals
         sol = prox_linear(x, grad, offsets, cgrads, step, warm)

@@ -416,7 +416,7 @@ class TestAcceptance:
         max_bias = 0.0
         for rec in first_steps:
             y, snap = rec["y"], rec["x_prev"]
-            snap_grad = full_gradient(problem, snap)
+            snap_grad = full_gradient(problem, snap)[0]
             expected = (
                 _component_grad(problem, rec["index"], y)
                 - _component_grad(problem, rec["index"], snap)
@@ -431,7 +431,7 @@ class TestAcceptance:
                 axis=0,
             )
             max_bias = max(
-                max_bias, float(np.max(np.abs(mean - full_gradient(problem, y))))
+                max_bias, float(np.max(np.abs(mean - full_gradient(problem, y)[0])))
             )
 
         max_gap = 0.0
@@ -605,7 +605,7 @@ class TestAcceptance:
         )
         _, trace_c, _ = varas_run(problem_c, cfg_c)
         varas_defect = max(
-            float(np.max(np.abs(rec["n_tilde"] - full_gradient(problem_c, rec["y"]))))
+            float(np.max(np.abs(rec["n_tilde"] - full_gradient(problem_c, rec["y"])[0])))
             for rec in trace_c.steps
         )
 

@@ -1,5 +1,7 @@
 """Solver loop behavior: reductions, identities, instrumentation, and audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -314,7 +316,7 @@ class TestVaras:
             # at t = 1 the recorded x_prev is the epoch snapshot, so the
             # variance-reduced estimate can be reconstructed exactly
             y, snap, i = rec["y"], rec["x_prev"], rec["index"]
-            snap_grad = full_gradient(problem, snap)
+            snap_grad = full_gradient(problem, snap)[0]
             expected = _component_grad(problem, i, y) - _component_grad(problem, i, snap) + snap_grad
             np.testing.assert_allclose(rec["n_tilde"], expected, atol=1e-12)
             # exhaustive-index mean collapses to the full gradient at y
@@ -325,7 +327,7 @@ class TestVaras:
                 ],
                 axis=0,
             )
-            np.testing.assert_allclose(mean, full_gradient(problem, y), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(mean, full_gradient(problem, y)[0], rtol=1e-12, atol=1e-12)
 
     def test_state_identity_x_minus_y(self):
         # x_t - y_t = alpha (z_t - z_plus) at every inner step
@@ -350,6 +352,30 @@ class TestVaras:
         inner = sum(sched.epoch_length(s) for s in range(1, epochs + 1))
         assert counters.sfo_calls == epochs * 10 + inner
         assert counters.qmo_calls == inner
+        assert counters.full_gradient_passes == epochs
+
+    def test_one_component_evaluation_per_inner_step(self):
+        # each epoch makes one n-index call (the full pass), then one one-index
+        # call per inner step: the snapshot half comes from the pass's table
+        problem = random_quadratic_problem(seed=10, dim=3, n=10)
+        block = problem.component_block
+        sizes = []
+
+        def counting_block(x, idx):
+            sizes.append(len(idx))
+            return block(x, idx)
+
+        problem = dataclasses.replace(problem, component_block=counting_block)
+        sched = VarasSchedule(n=10, mu=problem.strong_convexity,
+                              smoothness_gamma=problem.smoothness)
+        epochs = 6
+        config = RunConfig(gamma=1.0, schedule=sched, x0=np.zeros(3), epochs=epochs)
+        _, _, counters = varas_run(problem, config)
+        lengths = [sched.epoch_length(s) for s in range(1, epochs + 1)]
+        assert sizes == [k for t_s in lengths for k in [10] + [1] * t_s]
+        # the oracle counts are those of test_sfo_accounting
+        assert counters.sfo_calls == epochs * 10 + sum(lengths)
+        assert counters.qmo_calls == sum(lengths)
         assert counters.full_gradient_passes == epochs
 
     def test_streaming_rejected(self):

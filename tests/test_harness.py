@@ -1,5 +1,7 @@
 """Harness: config schema, trace files, orchestration, analysis, and the CLI."""
 
+import dataclasses
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -11,15 +13,20 @@ from ssqpbench import (
     BenchConfig,
     ConfigError,
     DivergenceError,
+    NonFiniteEvaluationError,
+    RunConfig,
     TraceRow,
+    VarasSchedule,
     calls_to_threshold,
     read_trace,
     run_experiment,
     slope_fit,
+    varas_run,
     write_trace,
 )
 from ssqpbench.cli import main as cli_main
 from ssqpbench.harness import OUTPUT_DIR_ENV, build_problem, build_schedule
+from ssqpbench.problems import random_quadratic_problem
 
 
 def quadratic_config(**overrides):
@@ -500,3 +507,102 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         assert cli_main(["reference", str(cfg)]) == 4
         assert "reference solve failed: reference solve did not reach tol" in capsys.readouterr().err
+
+
+def varas_quadratic_config(**overrides):
+    doc = quadratic_config(
+        algorithm="varas", schedule={"kind": "varas", "mu": 0.5, "smoothness_gamma": 25.0},
+        horizon=0, epochs=6, checkpoint_stride=1,
+    )
+    doc.update(overrides)
+    return doc
+
+
+def nan_once_quadratic(**spec):
+    """The quadratic factory's instance, except that its first one-index block
+    call returns a NaN gradient (n-index full passes stay finite)."""
+    problem = random_quadratic_problem(**spec)
+    block = problem.component_block
+    pending = [True]
+
+    def component_block(x, idx):
+        vals, grads = block(x, idx)
+        if len(idx) == 1 and pending[0]:
+            pending[0] = False
+            grads = np.full_like(grads, np.nan)
+        return vals, grads
+
+    return dataclasses.replace(problem, component_block=component_block)
+
+
+class TestNonFiniteVarasStep:
+    """A non-finite inner evaluation is a typed error at every level."""
+
+    def test_varas_run_raises_non_finite_error(self):
+        problem = nan_once_quadratic(seed=3, dim=3, n=8, m=2)
+        sched = VarasSchedule(n=8, mu=0.5, smoothness_gamma=25.0)
+        config = RunConfig(gamma=20.0, schedule=sched, x0=np.zeros(3), epochs=3)
+        with pytest.raises(NonFiniteEvaluationError, match="stochastic gradient"):
+            varas_run(problem, config)
+
+    def test_run_experiment_records_seed_and_runs_the_others(self, tmp_path, monkeypatch):
+        import ssqpbench.harness
+
+        monkeypatch.setattr(ssqpbench.harness, "random_quadratic_problem", nan_once_quadratic)
+        cfg = BenchConfig.from_dict(varas_quadratic_config(seeds=[0, 1]))
+        with pytest.raises(NonFiniteEvaluationError):
+            run_experiment(cfg, output_dir=tmp_path)
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["seed_status"] == {"0": "non-finite", "1": "ok"}
+        assert meta["trace_files"] == {"1": "varas_seed1.csv"}
+        assert read_trace(tmp_path / "varas_seed1.csv")[-1].iteration == 6
+
+    def test_cli_exit_code(self, tmp_path, capsys, monkeypatch):
+        import ssqpbench.harness
+
+        monkeypatch.setattr(ssqpbench.harness, "random_quadratic_problem", nan_once_quadratic)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(varas_quadratic_config(output_dir=str(tmp_path / "out"))))
+        assert cli_main(["run", str(cfg)]) == 5
+        assert "non-finite evaluation" in capsys.readouterr().err
+
+
+# sha256 of varas_seed0.csv for each config below, recorded before VARAS read
+# its snapshot gradients from the full pass's table; the rewrite kept every
+# byte.  A VARAS, USV or quadratic-factory change that moves one is a trace
+# change and must say so.  The reference block is arbitrary: it only makes the
+# gap and dist_sq columns depend on every bit of the iterates.
+VARAS_TRACE_PINS = [
+    (
+        "usv-bench-3-epochs",
+        {
+            "problem": {"kind": "usv", "seed": 7, "n": 100, "horizon": 40},
+            "schedule": {"kind": "varas", "mu": 0.0, "smoothness_gamma": 350.0},
+            "gamma": 1e6, "epochs": 3,
+            "reference": {"x_star": [0.0] * 76, "f_star": 1.0},
+        },
+        "42036d4d3869b6ae3b19e9c06196956b0b3329777584de3d483aff46d7e37324",
+    ),
+    (
+        "quadratic-affine",
+        {"reference": {"x_star": [0.0] * 3, "f_star": 1.0}, "epochs": 10},
+        "da4f494407592bc65628827d924645f680e70ab6043591c7873eb1f1a76f921d",
+    ),
+    (
+        "quadratic-balls",
+        {
+            "problem": {"kind": "quadratic", "seed": 4, "dim": 3, "n": 8, "m": 2,
+                        "affine_constraints": False},
+            "reference": {"x_star": [0.0] * 3, "f_star": 1.0}, "epochs": 10,
+        },
+        "5d8b37962ffdadde44bba906afcc26212f4b1dbb947d1e7cc9fc8d9ee9c83cd0",
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, digest", [p[1:] for p in VARAS_TRACE_PINS],
+                         ids=[p[0] for p in VARAS_TRACE_PINS])
+def test_varas_trace_bytes_pinned(tmp_path, overrides, digest):
+    cfg = BenchConfig.from_dict(varas_quadratic_config(**overrides))
+    run_experiment(cfg, output_dir=tmp_path)
+    assert hashlib.sha256((tmp_path / "varas_seed0.csv").read_bytes()).hexdigest() == digest

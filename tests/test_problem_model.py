@@ -127,7 +127,7 @@ class TestSfoQuery:
         problem = random_quadratic_problem(seed=3, dim=5, n=12)
         x = np.linspace(-1, 1, 5)
         sample = sfo_query(problem, x, np.arange(12))
-        np.testing.assert_allclose(sample.stochastic_gradient, full_gradient(problem, x), rtol=1e-14)
+        np.testing.assert_allclose(sample.stochastic_gradient, full_gradient(problem, x)[0], rtol=1e-14)
 
     def test_counter_increment_is_batch_size(self):
         problem = two_component_problem()
@@ -271,7 +271,7 @@ class TestFullGradient:
             dim=1, n_components=2, component_block=component_block,
             smoothness=4.0, constraint_smoothness=0.0,
         )
-        np.testing.assert_allclose(full_gradient(problem, np.array([1.0])), [3.0])
+        np.testing.assert_allclose(full_gradient(problem, np.array([1.0]))[0], [3.0])
 
     def test_symmetric_components_cancel(self):
         centers = np.array([-2.0, -1.0, 1.0, 2.0])
@@ -284,7 +284,7 @@ class TestFullGradient:
             dim=1, n_components=4, component_block=component_block,
             smoothness=2.0, constraint_smoothness=0.0,
         )
-        np.testing.assert_allclose(full_gradient(problem, np.array([0.0])), [0.0], atol=1e-15)
+        np.testing.assert_allclose(full_gradient(problem, np.array([0.0]))[0], [0.0], atol=1e-15)
 
     def test_matches_reversed_summation(self):
         problem = random_quadratic_problem(seed=7, dim=4, n=50)
@@ -293,7 +293,7 @@ class TestFullGradient:
         for i in reversed(range(50)):
             expected += _component_grad(problem, i, x)
         expected /= 50
-        np.testing.assert_allclose(full_gradient(problem, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(full_gradient(problem, x)[0], expected, rtol=1e-12)
 
     def test_charges_n_sfo_and_one_pass(self):
         problem = random_quadratic_problem(seed=0, dim=3, n=9)
@@ -320,7 +320,7 @@ class TestShippedProblemInvariants:
         for _ in range(100):
             u, v = rng.standard_normal(4), rng.standard_normal(4)
             # the Bregman divergence f(u) - f(v) - <grad f(v), u - v> of a convex f is >= 0
-            divergence = problem.objective_value(u) - problem.objective_value(v) - full_gradient(problem, v) @ (u - v)
+            divergence = problem.objective_value(u) - problem.objective_value(v) - full_gradient(problem, v)[0] @ (u - v)
             assert divergence >= -1e-10
 
     def test_unbiasedness_over_singletons(self):
@@ -330,7 +330,7 @@ class TestShippedProblemInvariants:
         for i in range(11):
             mean += sfo_query(problem, x, [i]).stochastic_gradient
         mean /= 11
-        np.testing.assert_allclose(mean, full_gradient(problem, x), rtol=1e-12)
+        np.testing.assert_allclose(mean, full_gradient(problem, x)[0], rtol=1e-12)
 
     def test_component_smoothness_bound(self):
         problem = random_quadratic_problem(seed=4, dim=5, n=7)

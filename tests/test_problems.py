@@ -91,9 +91,8 @@ class TestUsvProblem:
 
     def test_straight_line_zero_current_energy(self):
         # zero currents and equispaced waypoints of step s give (T-1) s^3
-        _, usv = make_usv_problem(seed=1, n=3, horizon=10)
-        usv.currents_w[:] = 0.0
-        usv.currents_z[:] = 0.0
+        _, usv = make_usv_problem(seed=1, n=3, horizon=10, w_scale=0.0, z_scale=0.0)
+        assert not usv.currents_w.any() and not usv.currents_z.any()
         x = straight_line_path(usv)
         step = np.linalg.norm((usv.p_dest - usv.p_start) / (usv.horizon - 1))
         values, _ = usv_component_block(usv, x, np.array([0, 2]))
@@ -154,6 +153,35 @@ class TestUsvProblem:
         problem, usv = make_usv_problem(seed=7)
         assert usv.n == 100 and usv.horizon == 40 and usv.v_max == 10.0
         assert problem.dim == 76 and problem.m == 39
+
+
+class TestBlockRows:
+    """Row j of an n-index block is bitwise the one-index block of component j.
+
+    VARAS reads its snapshot gradients from the rows of the full pass and
+    relies on this.  (The regression block computes its rows with one matmul,
+    which can round them differently from a one-index block.)
+    """
+
+    @pytest.mark.parametrize("case", ["usv", "quadratic-affine", "quadratic-balls"])
+    def test_full_block_rows_equal_one_index_blocks(self, case):
+        rng = np.random.default_rng(11)
+        if case == "usv":
+            problem, usv = make_usv_problem(seed=7, n=100, horizon=40)
+            center, scale = straight_line_path(usv), 5.0
+        else:
+            problem = random_quadratic_problem(
+                seed=5, dim=6, n=30, m=3, affine_constraints=case == "quadratic-affine"
+            )
+            center, scale = np.zeros(problem.dim), 3.0
+        n = problem.n_components
+        for _ in range(5):
+            x = center + scale * rng.standard_normal(problem.dim)
+            vals, grads = problem.component_values_grads(x, np.arange(n))
+            for j in range(n):
+                one_vals, one_grads = problem.component_values_grads(x, np.array([j]))
+                assert np.array_equal(vals[j : j + 1], one_vals)
+                assert np.array_equal(grads[j : j + 1], one_grads)
 
 
 class TestRegressionProblem:
