@@ -62,6 +62,8 @@ OUTPUT_DIR_ENV = "SSQPBENCH_OUTPUT_DIR"
 
 _ALGORITHMS = ("ssqp", "ssqp-skip", "varas", "primal-dual")
 _PROBLEMS = ("usv", "regression", "regression-file", "quadratic")
+# trace columns that calls_to_threshold and slope_fit accept as ``metric``
+_METRICS = ("dist_sq", "gap", "rel_gap", "max_viol", "sum_viol")
 
 
 class ConfigError(ValueError):
@@ -350,7 +352,7 @@ def calls_to_threshold(
     whose trace never crosses are reported as censored and excluded from the
     means.
     """
-    if metric not in ("dist_sq", "gap", "rel_gap", "max_viol", "sum_viol"):
+    if metric not in _METRICS:
         raise ValueError(f"unsupported metric {metric!r}")
     crossings = []
     censored = 0
@@ -376,22 +378,19 @@ def calls_to_threshold(
     return result
 
 
-def slope_fit(
-    rows: list[TraceRow],
-    metric: str,
-    mode: str = "loglog",
-    window: str = "final-decade",
-) -> tuple[float, float]:
+def slope_fit(rows: list[TraceRow], metric: str, mode: str = "loglog") -> tuple[float, float]:
     """Least-squares rate fit over the trace tail; returns (slope, r_squared).
 
-    loglog fits log(metric) against log(iteration); loglinear fits
-    log(metric) against the iteration index (geometric decay).  The
-    final-decade window keeps rows with iteration > max_iter / 10.
+    ``metric`` is one of the metrics calls_to_threshold accepts.  loglog fits
+    log(metric) against log(iteration); loglinear fits log(metric) against
+    the iteration index (geometric decay).  The fit window is the final
+    decade: rows with iteration > max_iter / 10.
     """
+    if metric not in _METRICS:
+        raise ValueError(f"unsupported metric {metric!r}")
     pts = [(r.iteration, getattr(r, metric)) for r in rows if r.iteration > 0]
-    if window == "final-decade":
-        top = max(it for it, _ in pts)
-        pts = [(it, v) for it, v in pts if it > top / 10.0]
+    top = max((it for it, _ in pts), default=0)
+    pts = [(it, v) for it, v in pts if it > top / 10.0]
     if len(pts) < 10:
         raise ValueError("need at least 10 checkpoint rows in the fit window")
     values = np.array([v for _, v in pts])

@@ -258,10 +258,15 @@ class FeasibilityLpError(ValueError):
 def minimal_feasible_tolerance(features: np.ndarray, labels: np.ndarray) -> float:
     """Smallest r for which some theta satisfies (y_k - x_k theta)^2 <= r for all k.
 
-    Solved as the Chebyshev (minimax absolute residual) linear program; the
-    minimal cap is the squared minimax residual.  SciPy's optimizer is imported
-    here, so only a regression build pays for loading it.
+    When the rows of ``features`` are linearly independent (full row rank, so
+    at most d rows), X theta = y has a solution and the answer is exactly 0.
+    Otherwise (more rows than columns, or dependent rows) it is solved as the
+    Chebyshev (minimax absolute residual) linear program; the minimal cap is
+    the squared minimax residual.  SciPy's optimizer is imported only on that
+    path, so a build whose critical rows can be interpolated never loads it.
     """
+    if np.linalg.matrix_rank(features) == len(features):
+        return 0.0
     from scipy.optimize import linprog
 
     n, d = features.shape
@@ -358,6 +363,8 @@ def load_regression_csv(
     """Dataset loader: comma-separated numeric matrix with one header row,
     last column the label; features are z-scored and a bias column appended.
     Raises ValueError naming the file when an entry is NaN or infinite."""
+    if n < 1 or critical < 1:
+        raise ValueError("need n >= 1, critical >= 1")
     raw = np.loadtxt(path, delimiter=",", skiprows=1)
     if raw.ndim != 2 or raw.shape[1] < 2:
         raise ValueError("expected a 2-d numeric matrix with features plus a label column")

@@ -1,4 +1,5 @@
-"""Import footprint: SciPy's optimizer loads only when a regression instance is built.
+"""Import footprint: SciPy's optimizer loads only when a regression instance
+whose critical rows cannot be interpolated is built.
 
 The check runs in a fresh interpreter, because other test modules import
 SciPy themselves.
@@ -56,6 +57,10 @@ require(main(["slope", str(out / "quadratic" / "ssqp_seed0.csv"), "--metric", "d
 require(OPT not in sys.modules, "report and slope leave it unloaded")
 
 from ssqpbench.problems import generate_regression_problem
+
+# the shipped instance: 10 independent critical rows in d = 14 are interpolated
+generate_regression_problem(seed=11, d=14, n=450, critical=10, tolerance=1.3)
+require(OPT not in sys.modules, "a build whose critical rows have full row rank leaves it unloaded")
 
 generate_regression_problem(seed=4, d=3, n=20, critical=4, tolerance=5.0)
 require(OPT in sys.modules, "a regression build loads it for its feasibility LP")

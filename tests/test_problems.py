@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from ssqpbench import (
     ReferenceSolveError,
@@ -259,16 +260,45 @@ class TestRegressionProblem:
         np.testing.assert_allclose(data.features[:, :-1].mean(axis=0), 0.0, atol=1e-12)
 
 
+def chebyshev_lp_cap(x, y):
+    """The squared minimax residual min_theta max_k |y_k - x_k theta|^2, from
+    SciPy's LP over (theta, t) written out here."""
+    k, d = x.shape
+    ones = np.ones((k, 1))
+    res = linprog(
+        np.r_[np.zeros(d), 1.0],
+        A_ub=np.block([[x, -ones], [-x, -ones]]),
+        b_ub=np.r_[y, -y],
+        bounds=[(None, None)] * d + [(0, None)],
+    )
+    assert res.success
+    return float(res.x[-1] ** 2)
+
+
 class TestChebyshevFeasibility:
     def test_interpolation_gives_zero(self):
+        # linearly independent rows (k <= d): some theta fits every label
+        # exactly, so the closed form answers 0 and the LP agrees bitwise
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((4, 6))  # fewer rows than columns: exact fit
-        y = rng.standard_normal(4)
-        assert minimal_feasible_tolerance(x, y) <= 1e-16
+        for label_scale in (1e-3, 1.0, 1e3):
+            for d in (2, 6, 14):
+                for k in range(1, d + 1):
+                    x = rng.standard_normal((k, d))
+                    y = label_scale * rng.standard_normal(k)
+                    assert np.linalg.matrix_rank(x) == k
+                    assert minimal_feasible_tolerance(x, y) == 0.0
+                    assert chebyshev_lp_cap(x, y) == 0.0
 
     def test_known_one_d_minimax(self):
         # rows (1), labels {0, 2}: best theta = 1, worst |residual| = 1 -> r = 1
         x = np.array([[1.0], [1.0]])
+        y = np.array([0.0, 2.0])
+        assert minimal_feasible_tolerance(x, y) == pytest.approx(1.0, abs=1e-9)
+
+    def test_dependent_rows_reach_the_lp(self):
+        # k <= d but both rows read theta_1 alone: the same minimax as above,
+        # which only the LP can give (the closed form answers 0)
+        x = np.array([[1.0, 0.0], [1.0, 0.0]])
         y = np.array([0.0, 2.0])
         assert minimal_feasible_tolerance(x, y) == pytest.approx(1.0, abs=1e-9)
 
