@@ -46,7 +46,6 @@ from .algorithms import (
     ssqp_skip_run,
     ssqp_skip_step,
     ssqp_step,
-    three_point_audit,
     varas_run,
 )
 from .baselines import (

@@ -331,12 +331,13 @@ def generate_regression_problem(
     seed: int,
     d: int = 14,
     n: int = 450,
-    critical: int = 56,
+    critical: int = 10,
     tolerance: float = 1.3,
     noise: float = 1.0,
 ) -> tuple[ConstrainedProblem, ResidualRegressionProblem]:
     """Synthetic residual-constrained regression instance.
 
+    The defaults are the shipped instance of criteria 3 and 4 (with seed 11).
     d counts the bias column; features are z-scored standard normals with an
     all-ones column appended, labels follow y = X theta0 + noise with
     theta0 ~ N(0, (1/sqrt d)^2 I).  The n objective samples and ``critical``

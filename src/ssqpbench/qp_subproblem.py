@@ -10,7 +10,8 @@ b_k + <A_k, u> <= v.  The quadratic is diagonal and h is separable, so the
 primal is available in closed form from the duals.  The solver is a finite
 dual active-set method (Goldfarb--Idnani) on the hinge duals in the capped
 simplex {mu >= 0, sum mu <= Gamma} and the regularizer's coordinate duals,
-warm-started from the previous solution's active set.  What a Box or L1
+started from the hinges violated at the prox point (or from the previous
+solution's active set where that guess fell short).  What a Box or L1
 regularizer does to a coordinate is read from one face table (``_faces``).
 Each step solves one reduced (Schur-complement) KKT system; the answer is
 certified once, by its KKT residual, which keeps its own per-regularizer
@@ -91,6 +92,7 @@ class QpSolution:
     objective: float
     converged: bool = True
     sweeps: int = 0  # first-order dual sweeps spent; the active-set solver takes none
+    prox_hit: bool = False  # the final working set is the hinges violated at the prox point
 
 
 def qp_objective(qp: CanonicalQp, u: np.ndarray) -> float:
@@ -101,7 +103,7 @@ def qp_objective(qp: CanonicalQp, u: np.ndarray) -> float:
 def _objective(qp: CanonicalQp, u: np.ndarray, diff: np.ndarray, r: np.ndarray) -> float:  # diff = u - w, r = b + A u
     val = 0.5 * qp.rho * float(diff @ diff) + float(qp.linear @ u) + qp.regularizer.value(u)
     if r.size:
-        val += qp.hinge_weight * max(0.0, float(r.max()))
+        val += qp.hinge_weight * max(0.0, float(np.maximum.reduce(r)))
     return val
 
 
@@ -138,7 +140,7 @@ def _kkt_residual(qp: CanonicalQp, sol: QpSolution, diff: np.ndarray, r: np.ndar
         res = np.where(at_hi & ~at_lo, np.maximum(0.0, s), res)
         res = np.where(at_lo & at_hi, 0.0, res)  # lower == upper: the normal cone is all of R
         dom = np.maximum(reg.lower - u, 0.0) + np.maximum(u - reg.upper, 0.0)
-        stat_u = float(np.linalg.norm(res) + dom.max(initial=0.0))
+        stat_u = float(np.linalg.norm(res) + np.maximum.reduce(dom, initial=0.0))
     elif isinstance(reg, L1):
         lam = reg.weight
         at_zero = np.abs(u) <= activity_tol
@@ -148,13 +150,13 @@ def _kkt_residual(qp: CanonicalQp, sol: QpSolution, diff: np.ndarray, r: np.ndar
     else:  # pragma: no cover - exhaustive over Regularizer
         raise TypeError(f"unknown regularizer {type(reg)!r}")
 
-    stat_v = abs(qp.hinge_weight - mu.sum() - dual_v)
-    neg_duals = max(float(np.maximum(-mu, 0.0).max(initial=0.0)), max(0.0, -dual_v))
+    stat_v = abs(qp.hinge_weight - np.add.reduce(mu) - dual_v)
+    neg_duals = max(float(np.maximum.reduce(np.maximum(-mu, 0.0), initial=0.0)), max(0.0, -dual_v))
     slack = r - v
-    primal = max(float(np.maximum(slack, 0.0).max(initial=0.0)), max(0.0, -v))
+    primal = max(float(np.maximum.reduce(np.maximum(slack, 0.0), initial=0.0)), max(0.0, -v))
     comp = abs(dual_v * v)
     if r.size:
-        comp = max(comp, float(np.abs(mu * slack).max()))
+        comp = max(comp, float(np.maximum.reduce(np.abs(mu * slack))))
     return max(stat_u, stat_v, neg_duals, primal, comp)
 
 
@@ -251,17 +253,15 @@ def _solve_pattern_system(
         A_act = qp.slopes[active]
         # the F-ordered copy A_act[:, free] makes: BLAS rounds C and F products differently
         A_free = A_act.copy(order="F") if free is None else A_act[:, free]
-        n = na + 1 if v_positive else na
-        K = np.zeros((n, n))
-        K[:na, :na] = A_free @ A_free.T / qp.rho
-        rhs = np.empty(n)
-        rhs[:na] = A_free @ r / qp.rho + offsets[active]
+        K = A_free @ A_free.T / qp.rho
+        rhs = A_free @ r / qp.rho + offsets[active]
         if free is not None and pinned.any():
-            rhs[:na] += A_act[:, pinned] @ x[pinned]
-        if v_positive:
-            K[:na, na] = 1.0
-            K[na, :na] = 1.0
-            rhs[na] = gamma
+            rhs += A_act[:, pinned] @ x[pinned]
+        if v_positive:  # border K with the cap's row and column
+            bordered = np.ones((na + 1, na + 1))
+            bordered[:na, :na] = K
+            bordered[na, na] = 0.0
+            K, rhs = bordered, np.concatenate((rhs, (gamma,)))
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
         mu[active] = sol[:na]
         if v_positive:
@@ -329,7 +329,7 @@ def _assemble(qp: CanonicalQp, u, mu, v, active, r: Optional[np.ndarray] = None)
     mu = np.maximum(mu, 0.0) if mu.size else mu
     if v <= 0.0:
         v = 0.0
-    dual_v = 0.0 if v > 0 else max(qp.hinge_weight - mu.sum(), 0.0)
+    dual_v = 0.0 if v > 0 else max(qp.hinge_weight - np.add.reduce(mu), 0.0)
     r = qp.offsets + qp.slopes @ u if r is None else r
     diff = u - qp.anchor
     sol = QpSolution(
@@ -356,24 +356,33 @@ def solve_canonical_qp(
 ) -> QpSolution:
     """Solve the canonical subproblem to a KKT residual of at most tol.
 
-    ``warm`` may carry the previous iteration's solution; its active set and
-    duals start the dual active-set loop, so the solve takes a single pattern
-    solve when the active set is unchanged.  An answer whose KKT residual is
-    above tol, from the prox-point shortcut or from the loop, is returned with
-    ``converged=False``.
+    The dual active-set loop starts from the hinges violated at the prox
+    point (b + A u0 > 0, u0 the minimizer without the hinge), the final set of
+    most QPs of an SSQP run.  Where coupled hinges make that guess fall short,
+    the answer records it (``prox_hit`` false) and a solve warm-started from
+    that answer starts from its active set instead.  ``warm`` (the previous
+    iteration's solution) also lends its duals, epigraph case and coordinate
+    pattern, so re-solving a QP from its own answer takes one pattern solve.
+    The start changes only how many pattern solves the loop takes: the answer
+    is the pattern solution of the working set the loop ends on, so any start
+    that ends on the same set gives the same bytes.  An answer whose KKT
+    residual is above tol, from the prox-point shortcut or from the loop, is
+    returned with ``converged=False``.
     """
     if not (0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
     m = qp.m
     u0 = _primal_from_dual(qp, np.zeros(m))
     r0 = qp.offsets + qp.slopes @ u0
-    hinge0 = max(0.0, float(r0.max())) if m else 0.0
+    hinge0 = max(0.0, float(np.maximum.reduce(r0))) if m else 0.0
     sol = None
     # the prox point solves the QP when the hinge costs nothing or is slack there
     if m == 0 or qp.hinge_weight == 0.0 or hinge0 == 0.0:
         sol = _assemble(qp, u0, np.zeros(m), hinge0, np.empty(0, dtype=int), r0)
+    prox = r0 > 0.0
     if sol is None or (m and qp.hinge_weight and sol.kkt_residual > tol):
-        sol = _dual_active_set(qp, tol, warm, u0)
+        sol = _dual_active_set(qp, tol, warm, u0, prox)
+    sol.prox_hit = sol.active_set == tuple(prox.nonzero()[0].tolist())
     sol.converged = bool(sol.kkt_residual <= tol)
     return sol
 
@@ -389,7 +398,9 @@ def _min_ratio(c: np.ndarray, dc: np.ndarray, labels: np.ndarray, ray: bool, eps
     return float(ratios[j]), int(labels[blocking[j]])
 
 
-def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0: np.ndarray) -> QpSolution:
+def _dual_active_set(
+    qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0: np.ndarray, prox: np.ndarray
+) -> QpSolution:
     """Goldfarb--Idnani dual active-set loop on the epigraph QP; returns the assembled solution.
 
     A primal active-set method (Nocedal & Wright alg. 16.3) on the dual: a
@@ -407,25 +418,34 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
     working-hinge residual in the null space of the dual Hessian, an ascent
     ray that the ratio test alone steps along.  The dual objective never
     decreases, so the loop is finite; a step cap guards against rounding.
+
+    The loop starts from the hinges in ``prox`` (violated at the prox point),
+    or from ``warm.active_set`` when ``warm`` did not end on its own prox set;
+    a start only needs a feasible dual point, and zero duals on the starting
+    hinges are one.  u, mu and v come from the last pattern solve alone and
+    the answer's hinge values from that u, so the answer depends on the
+    final working set, not on the path to it.
     """
     m, gamma, reg = qp.m, qp.hinge_weight, qp.regularizer
     eps = 0.1 * tol
-    work = np.zeros(m, dtype=bool)
+    work = prox.copy()
     mu = np.zeros(m)
     capped, u = False, u0
     if warm is not None:
-        work[list(warm.active_set)] = True
+        if not warm.prox_hit:
+            work[:] = False
+            work[list(warm.active_set)] = True
         capped, u = warm.v > 0 and bool(work.any()), warm.u
         mu[work] = np.maximum(warm.mu[work], 0.0)
-        total = mu.sum()
+        total = np.add.reduce(mu)
         if capped or total > gamma:  # start from a feasible dual point
             mu[work] = mu[work] * (gamma / total) if total > 0.0 else gamma / work.sum()
-    pattern = _coordinate_pattern(qp, u, 1e-12 if warm is None else 1e-10)
     r = qp.rho * qp.anchor - qp.linear
     coords = not isinstance(reg, Zero)
     free = ulo = None  # the Zero regularizer: every coordinate free, no coordinate duals
     r_free = r
     if coords:
+        pattern = _coordinate_pattern(qp, u, 1e-12 if warm is None else 1e-10)
         ulo, uhi, ylo, yhi = _faces(qp, pattern)
         y = np.clip(qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu, ylo, yhi)
     for _ in range(10 * (m + qp.dim + 1)):  # finite in exact arithmetic; the cap guards rounding
@@ -437,24 +457,24 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
         slack = hinge - v
         # a working-hinge residual above rounding (relative 1e-8 of the terms
         # of b + A u - v) means the system has no solution
-        dev = np.abs(slack[act]).max(initial=0.0)
+        dev = np.maximum.reduce(np.abs(slack[act]), initial=0.0)
         ray = False
         if dev > eps:
             terms = np.abs(qp.offsets[act]) + np.abs(qp.slopes[act]) @ np.abs(u)
-            ray = dev > 1e-8 * (1.0 + abs(v) + float(terms.max()))
+            ray = dev > 1e-8 * (1.0 + abs(v) + float(np.maximum.reduce(terms)))
         step = np.where(work, slack, 0.0) if ray else mu_t - mu
         # ratio test over each bounded dual's slack c >= 0 and its rate dc along
         # the step, labelled: the working hinges k < m, the cap m, the
         # coordinates m + 1 + i; a tie goes to the smallest label
         alpha, leaving = _min_ratio(mu[act], step[act], act, ray, eps)
         if not capped:
-            c, dc = gamma - mu.sum(), -step.sum()
+            c, dc = gamma - np.add.reduce(mu), -np.add.reduce(step)
             if dc < 0.0 if ray else c + dc < -eps:
                 with np.errstate(over="ignore"):
                     alpha, leaving = min((alpha, leaving), (float(c / -dc), m))
         if coords:
             dy = qp.slopes.T @ step if ray else qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu_t - y
-            bounded = np.flatnonzero(ylo < yhi)
+            bounded = (ylo < yhi).nonzero()[0]
             cy, dcy = np.where(dy > 0.0, yhi - y, y - ylo)[bounded], -np.abs(dy[bounded])
             alpha, leaving = min((alpha, leaving), _min_ratio(cy, dcy, m + 1 + bounded, ray, eps))
         if alpha < np.inf:
@@ -498,7 +518,7 @@ def _dual_active_set(qp: CanonicalQp, tol: float, warm: Optional[QpSolution], u0
             pattern[i] += 1 if u[i] > uhi[i] else -1
             ulo, uhi, ylo, yhi = _faces(qp, pattern)
             y = np.clip(y, ylo, yhi)
-    act = np.flatnonzero(work)
+    act = work.nonzero()[0]
     box = isinstance(reg, BoxIndicator)
     # a clipped Box answer needs its own hinge values; the others keep the loop's
     sol = _assemble(qp, np.clip(u, reg.lower, reg.upper) if box else u, mu, v, act, None if box else hinge)

@@ -31,7 +31,6 @@ from ssqpbench import (
     ssqp_run,
     ssqp_skip_run,
     ssqp_step,
-    three_point_audit,
     varas_run,
 )
 from ssqpbench.baselines import PrimalDualSchedule, primal_dual_run
@@ -53,6 +52,7 @@ from ssqpbench.problems import (
 )
 
 from kkt_oracle import solve_kkt_quadratic
+from three_point_audit import three_point_audit
 
 
 def _report(k, ok, details):

@@ -25,13 +25,13 @@ from ssqpbench import (
     ssqp_run,
     ssqp_skip_run,
     ssqp_step,
-    three_point_audit,
     varas_run,
 )
 from ssqpbench.algorithms import _CHUNK, _Run
 from ssqpbench.problems import random_quadratic_problem
 
 from kkt_oracle import solve_kkt_quadratic
+from three_point_audit import three_point_audit
 
 
 def batch_stream(seed):

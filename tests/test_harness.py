@@ -636,16 +636,36 @@ def test_varas_trace_bytes_pinned(tmp_path, overrides, digest):
 # feasibility check that moves this trace must say so.  The reference block is
 # arbitrary, as above.
 REG_TRACE_PIN = "60eec1c8d06b84b6117ab099a8515a70a7369734f4aaa7666861316a6a38f5a5"
+# sha256 of ssqp-skip_seed0.csv: one SSQP-Skip seed, 400 steps, on the same
+# instance, recorded before the QP solver chose its starting working set from
+# the prox point.  Skip warm-starts each QP from the answer of one solved about
+# 14 steps earlier, so its answers must not depend on where the loop starts.
+SKIP_TRACE_PIN = "2034bf4e50f8c10c8e18ef7d8d0f781989f3dfdd5cdee6f22f4b6bd63705c75b"
+
+
+def shipped_regression_config(algorithm, schedule_kind, horizon, stride):
+    spec = {"seed": 11, "d": 14, "n": 450, "critical": 10, "tolerance": 1.3}
+    problem, _ = generate_regression_problem(**spec)
+    return BenchConfig.from_dict(quadratic_config(
+        problem={"kind": "regression", **spec}, algorithm=algorithm, gamma=100.0,
+        horizon=horizon, checkpoint_stride=stride,
+        schedule={"kind": schedule_kind, "mu": problem.strong_convexity, "smoothness": problem.smoothness},
+        reference={"x_star": [0.0] * 14, "f_star": 1.0},
+    ))
 
 
 def test_regression_trace_bytes_pinned(tmp_path):
-    spec = {"seed": 11, "d": 14, "n": 450, "critical": 10, "tolerance": 1.3}
-    problem, _ = generate_regression_problem(**spec)
-    cfg = BenchConfig.from_dict(quadratic_config(
-        problem={"kind": "regression", **spec}, gamma=100.0, horizon=60, checkpoint_stride=5,
-        schedule={"kind": "ssqp_strongly_convex", "mu": problem.strong_convexity,
-                  "smoothness": problem.smoothness},
-        reference={"x_star": [0.0] * 14, "f_star": 1.0},
-    ))
-    run_experiment(cfg, output_dir=tmp_path)
+    run_experiment(shipped_regression_config("ssqp", "ssqp_strongly_convex", 60, 5), output_dir=tmp_path)
     assert hashlib.sha256((tmp_path / "ssqp_seed0.csv").read_bytes()).hexdigest() == REG_TRACE_PIN
+
+
+def test_skip_trace_bytes_pinned(tmp_path):
+    run_experiment(shipped_regression_config("ssqp-skip", "skip", 400, 20), output_dir=tmp_path)
+    assert hashlib.sha256((tmp_path / "ssqp-skip_seed0.csv").read_bytes()).hexdigest() == SKIP_TRACE_PIN
+
+
+def test_ssqp_seed_pattern_solve_count_pinned(tmp_path, pattern_solves):
+    # pattern solves of one 300-step SSQP seed on the shipped instance: 499
+    # when every loop started from the warm set, 312 with the prox-point start
+    run_experiment(shipped_regression_config("ssqp", "ssqp_strongly_convex", 300, 10), output_dir=tmp_path)
+    assert len(pattern_solves) == 312

@@ -196,6 +196,13 @@ class TestRegressionProblem:
             data.features[data.critical_idx], data.labels[data.critical_idx]
         ) <= 1e-18
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_defaults_build_the_shipped_instance(self, seed):
+        # 10 critical rows in d = 14 can be interpolated, so the cap 1.3 is feasible on every seed
+        problem, data = generate_regression_problem(seed)
+        assert (problem.dim, problem.n_components, problem.m) == (14, 450, 10)
+        assert data.tolerance == 1.3
+
     def test_infeasible_tolerance_reports_minimum(self):
         with pytest.raises(InfeasibleToleranceError) as err:
             generate_regression_problem(seed=11, d=14, n=450, critical=56, tolerance=1.3)

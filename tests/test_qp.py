@@ -453,6 +453,42 @@ class TestPolishOrder:
         np.testing.assert_array_equal(warmed.u, cold.u)
 
 
+def coupled_hinges_qp(anchor):
+    """Two hinges coupled as neighbouring speed limits are (Zero, rho = 1, Gamma = 10).
+
+    Near anchor 0 only u_0 >= 1 is violated at the prox point u = w; meeting it
+    violates u_0 - u_1 <= 0.5, so both hinges hold at the optimum u = (1, 0.5).
+    """
+    return make_qp(anchor=anchor, linear=(0.0, 0.0), gamma=10.0, offsets=[1.0, -0.5],
+                   slopes=[[-1.0, 0.0], [1.0, -1.0]])
+
+
+class TestStartRule:
+    def test_cold_solve_ending_on_the_prox_set_takes_one_pattern_solve(self, pattern_solves):
+        # hinge 0 is violated at the prox point u = 0 and held at the optimum
+        # u = (1, 0); hinge 1 is slack at both
+        qp = make_qp(anchor=(0.0, 0.0), linear=(0.0, 0.0), gamma=10.0, offsets=[1.0, -2.0],
+                     slopes=[[-1.0, 0.0], [0.0, 1.0]])
+        sol = solve_canonical_qp(qp)
+        assert len(pattern_solves) == 1
+        assert sol.active_set == (0,) and sol.prox_hit is True and sol.converged is True
+        np.testing.assert_allclose(sol.u, [1.0, 0.0], rtol=0, atol=1e-12)
+
+    def test_coupled_hinges_restart_from_the_warm_set(self, pattern_solves):
+        cold = solve_canonical_qp(coupled_hinges_qp((0.0, 0.0)))
+        assert cold.active_set == (0, 1) and cold.prox_hit is False
+        np.testing.assert_allclose(cold.u, [1.0, 0.5], rtol=0, atol=1e-12)
+        nxt = coupled_hinges_qp((0.02, -0.01))
+        pattern_solves.clear()
+        warmed = solve_canonical_qp(nxt, warm=cold)
+        assert len(pattern_solves) == 1
+        assert warmed.active_set == (0, 1) and warmed.converged is True
+        # from its prox set alone the same QP takes two, and ends on the same bytes
+        pattern_solves.clear()
+        assert solve_canonical_qp(nxt).u.tobytes() == warmed.u.tobytes()
+        assert len(pattern_solves) == 2
+
+
 def rounding_floor_instance():
     """The first reference QP of criterion 2's instance 14 (at the full gamma).
 
