@@ -227,6 +227,11 @@ class ConstrainedProblem:
 # Oracle operations
 
 
+# +0.0 as a read-only 0-d array: adding it to a row skips the conversion of a Python float
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
 def _check_finite(arr: np.ndarray, what: str):
     # exact, and count_nonzero skips the Python-level wrapper that ndarray.all goes through
     if np.count_nonzero(np.isfinite(arr)) != arr.size:
@@ -242,6 +247,9 @@ def sfo_query(
 ) -> SfoSample:
     """One SFO call: batch-mean gradient of f plus all constraint values/gradients at x.
 
+    The batch is a 1-D array of integer component indices; another shape or
+    dtype (float, bool) raises IndexError instead of being truncated.  A
+    one-index query's gradient is the block's row, with no batch reduction.
     Costs ``len(batch)`` SFO units; the constraint bundle is free under the
     oracle model used throughout.  With ``constraints=False`` the bundle is
     not evaluated and the sample's constraint fields are None: SSQP-Skip asks
@@ -249,16 +257,21 @@ def sfo_query(
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x, "query point")
-    batch = np.asarray(batch, dtype=int)
+    batch = np.asarray(batch)
     b = batch.size
     if b == 0:
         raise ValueError("batch must be nonempty")
+    if batch.ndim != 1 or batch.dtype.kind not in "iu":
+        raise IndexError("component indices must be a 1-D integer array")
     if not problem.is_streaming:
-        if batch.min() < 0 or batch.max() >= problem.n_components:
+        n = problem.n_components
+        if not (0 <= batch.item(0) < n if b == 1 else 0 <= batch.min() and batch.max() < n):
             raise IndexError("component index out of range")
     _, grads = problem.component_values_grads(x, batch)
-    # bit for bit what grads.mean(axis=0) computes
-    grad = np.add.reduce(grads, axis=0) / b
+    # bit for bit what grads.mean(axis=0) computes.  The reduction starts from
+    # +0.0, so one row's mean is the row plus 0.0: -0.0 turns into +0.0 and
+    # every other value is kept.
+    grad = grads[0] + _ZERO if b == 1 else np.add.reduce(grads, axis=0) / b
     _check_finite(grad, "stochastic gradient")
     cvals = cgrads = None
     if constraints:
@@ -267,11 +280,7 @@ def sfo_query(
         _check_finite(cgrads, "constraint gradient")
     if counters is not None:
         counters.sfo_calls += b
-    return SfoSample(
-        stochastic_gradient=grad,
-        constraint_values=cvals,
-        constraint_gradients=cgrads,
-    )
+    return SfoSample(grad, cvals, cgrads)
 
 
 def full_gradient(

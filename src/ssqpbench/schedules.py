@@ -4,13 +4,15 @@ Every sequence here is the theorem-prescribed one: the SSQP stepsizes for the
 convex (fixed-horizon or diminishing) and strongly convex regimes, the
 SSQP-Skip stepsize/probability pair with the optional kickstart override, and
 the VARAS per-epoch (alpha, beta, omega, T) parameters with the two iterate
-weighting forms.
+weighting forms.  The constants a schedule derives from its fields (eta0,
+the strongly convex offset, Skip's omega) are computed once per object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -65,7 +67,7 @@ class SsqpConvexSchedule:
         if self.delta0 <= 0 or self.smoothness <= 0 or self.sigma < 0:
             raise ValueError("need delta0 > 0, L > 0, sigma >= 0")
 
-    @property
+    @cached_property
     def eta0(self) -> float:
         cap = 1.0 / (4.0 * self.smoothness)
         if self.sigma == 0.0:
@@ -108,7 +110,7 @@ class SsqpStronglyConvexSchedule:
     def kappa(self) -> float:
         return self.smoothness / self.mu
 
-    @property
+    @cached_property
     def offset(self) -> int:
         return int(math.floor(16.0 * self.kappa))
 
@@ -147,7 +149,7 @@ class SkipSchedule:
     def kappa(self) -> float:
         return self.smoothness / self.mu
 
-    @property
+    @cached_property
     def omega(self) -> int:
         return int(math.floor(4.0 * self.kappa * self.kappa))
 

@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ssqpbench.algorithms
+import ssqpbench.baselines
 import ssqpbench.harness as harness
 from ssqpbench import (
     OracleCounters,
@@ -26,6 +28,7 @@ from ssqpbench import (
     TunedConstantSchedule,
     VarasSchedule,
 )
+from ssqpbench.problem_model import ConstrainedProblem
 from ssqpbench.problems import random_quadratic_problem
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -82,6 +85,32 @@ def test_workload_runs_live_in_harness():
         out = run(problem, tiny_run_config(name, problem))
         assert isinstance(out[0], np.ndarray) and out[0].shape == (problem.dim,), name
         assert isinstance(out[-1], OracleCounters), name
+
+
+@pytest.mark.parametrize("name", WORKLOAD_RUNS)
+def test_every_query_goes_through_the_traced_oracle(monkeypatch, name):
+    # count calls where the tracer wraps them: a loop that queried the
+    # components some other way would leave the bench's sfo_query and
+    # component_eval spans short without failing anything else
+    problem = random_quadratic_problem(seed=1, dim=3, n=4)
+    calls = {"sfo_query": 0, "component_values_grads": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner in (ssqpbench.algorithms, ssqpbench.baselines):
+        monkeypatch.setattr(owner, "sfo_query", counted(owner.__dict__["sfo_query"], "sfo_query"))
+    monkeypatch.setattr(ConstrainedProblem, "component_values_grads",
+                        counted(ConstrainedProblem.__dict__["component_values_grads"], "component_values_grads"))
+    counters = harness.__dict__[name](problem, tiny_run_config(name, problem))[-1]
+    queries = counters.sfo_calls - problem.n_components * counters.full_gradient_passes
+    assert queries > 0
+    assert calls["sfo_query"] == queries
+    # one block evaluation per query and one per full pass
+    assert calls["component_values_grads"] == queries + counters.full_gradient_passes
 
 
 def test_bench_quick_smoke_passes():

@@ -641,16 +641,25 @@ REG_TRACE_PIN = "60eec1c8d06b84b6117ab099a8515a70a7369734f4aaa7666861316a6a38f5a
 # the prox point.  Skip warm-starts each QP from the answer of one solved about
 # 14 steps earlier, so its answers must not depend on where the loop starts.
 SKIP_TRACE_PIN = "2034bf4e50f8c10c8e18ef7d8d0f781989f3dfdd5cdee6f22f4b6bd63705c75b"
+# sha256 of primal-dual_seed0.csv: one primal-dual seed, 2,000 steps, with
+# criterion 4's stepsizes, and of ssqp-skip_seed0.csv for a Skip seed drawing
+# four indices per query (the only batch-mean path a solver loop runs).  Both
+# recorded before one-index SFO queries stopped reducing over the batch.
+PRIMAL_DUAL_TRACE_PIN = "678b44e28060cbd24900516c8cc83336a00b977a06c0db475fb821c5f37936aa"
+SKIP_BATCH4_TRACE_PIN = "644266cb2615b9b23ba61759591c863e22c0cefa56fa544fa6346fda30dcaa20"
 
 
-def shipped_regression_config(algorithm, schedule_kind, horizon, stride):
+def shipped_regression_config(algorithm, schedule_kind, horizon, stride, **overrides):
     spec = {"seed": 11, "d": 14, "n": 450, "critical": 10, "tolerance": 1.3}
     problem, _ = generate_regression_problem(**spec)
+    if schedule_kind == "primal_dual":
+        schedule = {"kind": "primal_dual", "eta_x": 0.005, "eta_lambda": 0.002}
+    else:
+        schedule = {"kind": schedule_kind, "mu": problem.strong_convexity, "smoothness": problem.smoothness}
     return BenchConfig.from_dict(quadratic_config(
         problem={"kind": "regression", **spec}, algorithm=algorithm, gamma=100.0,
-        horizon=horizon, checkpoint_stride=stride,
-        schedule={"kind": schedule_kind, "mu": problem.strong_convexity, "smoothness": problem.smoothness},
-        reference={"x_star": [0.0] * 14, "f_star": 1.0},
+        horizon=horizon, checkpoint_stride=stride, schedule=schedule,
+        reference={"x_star": [0.0] * 14, "f_star": 1.0}, **overrides,
     ))
 
 
@@ -662,6 +671,16 @@ def test_regression_trace_bytes_pinned(tmp_path):
 def test_skip_trace_bytes_pinned(tmp_path):
     run_experiment(shipped_regression_config("ssqp-skip", "skip", 400, 20), output_dir=tmp_path)
     assert hashlib.sha256((tmp_path / "ssqp-skip_seed0.csv").read_bytes()).hexdigest() == SKIP_TRACE_PIN
+
+
+def test_primal_dual_trace_bytes_pinned(tmp_path):
+    run_experiment(shipped_regression_config("primal-dual", "primal_dual", 2000, 100), output_dir=tmp_path)
+    assert hashlib.sha256((tmp_path / "primal-dual_seed0.csv").read_bytes()).hexdigest() == PRIMAL_DUAL_TRACE_PIN
+
+
+def test_skip_batch_trace_bytes_pinned(tmp_path):
+    run_experiment(shipped_regression_config("ssqp-skip", "skip", 400, 20, batch_size=4), output_dir=tmp_path)
+    assert hashlib.sha256((tmp_path / "ssqp-skip_seed0.csv").read_bytes()).hexdigest() == SKIP_BATCH4_TRACE_PIN
 
 
 def test_ssqp_seed_pattern_solve_count_pinned(tmp_path, pattern_solves):

@@ -17,7 +17,7 @@ from ssqpbench import (
     sfo_query,
     ssqp_skip_run,
 )
-from ssqpbench.problems import random_quadratic_problem
+from ssqpbench.problems import generate_regression_problem, random_quadratic_problem
 
 
 def two_component_problem():
@@ -256,6 +256,80 @@ class TestLeanSfoQuery:
         assert 0 < counters.qmo_calls < config.horizon
         # no f_star: each row evaluates the bundle once, for its violation columns
         assert len(calls) == counters.qmo_calls + len(trace.rows)
+
+
+class TestOneIndexQuery:
+    """A one-index query skips the batch reductions but keeps every check."""
+
+    @staticmethod
+    def row_problem(row, n=3):
+        calls = []
+
+        def component_block(x, idx):
+            calls.append(idx)
+            return np.zeros(len(idx)), np.tile(row, (len(idx), 1))
+
+        problem = ConstrainedProblem(
+            dim=len(row), n_components=n, component_block=component_block,
+            smoothness=1.0, constraint_smoothness=0.0,
+        )
+        return problem, calls
+
+    def test_gradient_is_bitwise_the_row_mean(self):
+        row = np.array([-0.0, 5e-324, 1e308, -1e308, 0.0, 2.5])
+        problem, _ = self.row_problem(row)
+        got = sfo_query(problem, np.zeros(6), [1]).stochastic_gradient
+        assert got.tobytes() == row[None].mean(axis=0).tobytes()
+        # the mean reads -0.0 as +0.0 and keeps every other entry
+        assert not np.signbit(got[0]) and got[1:].tobytes() == row[1:].tobytes()
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_index_out_of_range(self, index):
+        problem, calls = self.row_problem(np.ones(2))
+        with pytest.raises(IndexError, match="out of range"):
+            sfo_query(problem, np.zeros(2), [index])
+        assert calls == []
+
+    @pytest.mark.parametrize("index", [0, -1, 10**15])
+    def test_streaming_accepts_any_index(self, index):
+        problem, calls = self.row_problem(np.ones(2), n=0)
+        counters = OracleCounters()
+        sample = sfo_query(problem, np.zeros(2), [index], counters)
+        np.testing.assert_array_equal(sample.stochastic_gradient, np.ones(2))
+        assert [list(c) for c in calls] == [[index]] and counters.sfo_calls == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_aborts(self, bad):
+        problem, _ = self.row_problem(np.array([0.0, bad, 1.0]))
+        with pytest.raises(NonFiniteEvaluationError, match="stochastic gradient"):
+            sfo_query(problem, np.zeros(3), [0])
+
+    def test_one_block_call_per_query(self):
+        problem, calls = self.row_problem(np.ones(2))
+        sfo_query(problem, np.zeros(2), np.array([2]))
+        assert [list(c) for c in calls] == [[2]]
+
+    @pytest.mark.parametrize("batch", [[1.7], [True], [449.5], np.array([0, 1], dtype=float)])
+    def test_non_integer_indices_rejected(self, batch):
+        # np.asarray(batch, dtype=int) used to truncate these to a valid index
+        problem, _ = generate_regression_problem(seed=11, d=14, n=450, critical=10, tolerance=1.3)
+        assert problem.n_components == 450
+        with pytest.raises(IndexError, match="1-D integer array"):
+            sfo_query(problem, np.zeros(14), batch)
+
+    @pytest.mark.parametrize("batch", [3, [[1, 2]]])
+    def test_non_vector_batch_rejected(self, batch):
+        # a 2-D batch used to return a 2-D "gradient" charged as two SFO calls
+        problem = random_quadratic_problem(seed=1, dim=3, n=4)
+        counters = OracleCounters()
+        with pytest.raises(IndexError, match="1-D integer array"):
+            sfo_query(problem, np.zeros(3), batch, counters)
+        assert counters.sfo_calls == 0
+
+    def test_empty_batch_is_still_a_value_error(self):
+        problem, _ = self.row_problem(np.ones(2))
+        with pytest.raises(ValueError, match="nonempty"):
+            sfo_query(problem, np.zeros(2), [])
 
 
 class TestFullGradient:

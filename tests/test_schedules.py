@@ -194,3 +194,40 @@ class TestVarasSchedule:
             sched.epoch_length(0)
         with pytest.raises(ValueError):
             sched.theta(1, 0)
+
+
+class TestDerivedConstantsComputedOnce:
+    """eta0, offset and omega are cached per object; values and as_dict() are the formulas'."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 7.0])
+    def test_convex_eta0(self, sigma):
+        sched = SsqpConvexSchedule(horizon=50, delta0=2.0, sigma=sigma, smoothness=3.0, diminishing=True)
+        cap = 1.0 / 12.0
+        expected = cap if sigma == 0.0 else min(math.sqrt(2.0) / (2.0 * sigma), cap)
+        assert sched.eta0 == expected and sched.eta0 is sched.eta0
+        assert [sched.stepsize(t) for t in range(3)] == [expected / math.sqrt(t + 1) for t in range(3)]
+        assert sched.as_dict() == {"kind": "ssqp_convex", "horizon": 50, "delta0": 2.0, "sigma": sigma,
+                                   "smoothness": 3.0, "diminishing": True, "eta0": expected}
+
+    def test_strongly_convex_offset(self):
+        sched = SsqpStronglyConvexSchedule(mu=0.7, smoothness=5.3)
+        expected = int(math.floor(16.0 * (5.3 / 0.7)))
+        assert sched.offset == expected and type(sched.offset) is int
+        assert [sched.stepsize(t) for t in range(3)] == [2.0 / (0.7 * (t + expected + 1)) for t in range(3)]
+        assert sched.as_dict() == {"kind": "ssqp_strongly_convex", "mu": 0.7, "smoothness": 5.3, "offset": expected}
+
+    def test_skip_omega(self):
+        sched = SkipSchedule(mu=0.7, smoothness=5.3, kickstart=2)
+        kappa = 5.3 / 0.7
+        expected = int(math.floor(4.0 * kappa * kappa))
+        assert sched.omega == expected and type(sched.omega) is int
+        for t in range(4):
+            eta = 2.0 / (0.7 * (t + 1 + expected))
+            p = 1.0 if t < 2 else min(math.sqrt(2.0 * 0.7 * eta), 1.0)
+            assert sched.parameters(t) == (eta, p)
+        assert sched.as_dict() == {"kind": "skip", "mu": 0.7, "smoothness": 5.3, "omega": expected, "kickstart": 2}
+
+    def test_cache_keeps_equality_and_hash(self):
+        used, fresh = SkipSchedule(mu=0.5, smoothness=2.0), SkipSchedule(mu=0.5, smoothness=2.0)
+        used.parameters(0)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
