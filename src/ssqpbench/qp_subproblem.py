@@ -13,12 +13,17 @@ simplex {mu >= 0, sum mu <= Gamma} and the regularizer's coordinate duals,
 started from the hinges violated at the prox point (or from the previous
 solution's active set where that guess fell short).  What a Box or L1
 regularizer does to a coordinate is read from one face table (``_faces``).
-Each step solves one reduced (Schur-complement) KKT system; the answer is
-certified once, by its KKT residual, which keeps its own per-regularizer
-formulas.  The certificate and the objective share one evaluation of the
-hinge values b + A u at the answer's u (after the Box clip).  An answer that
-does not certify is returned with ``converged=False``; the dense enumeration
-oracle is a reference for tests and the benchmark, not a fallback.
+Each step solves one reduced (Schur-complement) KKT system; a one-row system
+is answered by the scalar that LAPACK would return.  The answer is certified
+once, by its KKT residual, in one pass that shares the hinge values b + A u
+at the answer's u (after the Box clip) with the objective.  That pass skips
+the terms that are structurally zero: the answer's duals are clamped
+nonnegative, so the dual-sign term is 0, and when mu is all zero (the
+prox-point shortcut) A^T mu and the hinges' complementarity add only zeros.
+The public ``kkt_residual`` computes every term from scratch; it is the
+reference the certificate equals bit for bit.  An answer that does not
+certify is returned with ``converged=False``; the dense enumeration oracle is
+a reference for tests and the benchmark, not a fallback.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem_model import L1, BoxIndicator, Regularizer, Zero
+from .problem_model import _ZERO, L1, BoxIndicator, Regularizer, Zero
 
 __all__ = [
     "CanonicalQp",
@@ -42,6 +47,10 @@ __all__ = [
 ]
 
 _DENSE_LIMIT = 8
+# a one-row Schur system k*mu = b with |k| and |b| (or b = +-0) in this band is
+# one that LAPACK's dgelsd scales neither side of; its answer is then b * (1/k)
+_ONE_ROW_LO, _ONE_ROW_HI = 1e-280, 1e280
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -60,7 +69,17 @@ class CanonicalQp:
         self.anchor = np.asarray(self.anchor, dtype=float)
         self.linear = np.asarray(self.linear, dtype=float)
         self.offsets = np.asarray(self.offsets, dtype=float).reshape(-1)
-        self.slopes = np.asarray(self.slopes, dtype=float).reshape(len(self.offsets), self.anchor.shape[0])
+        shape = self.anchor.shape
+        if len(shape) != 1:
+            raise ValueError(f"anchor must be a 1-D array, got shape {shape}")
+        # nothing is broadcast: a wrong shape would solve another QP or fail deep in the solver
+        if self.linear.shape != shape:
+            raise ValueError(f"linear must have the anchor's shape {shape}, got {self.linear.shape}")
+        if isinstance(self.regularizer, BoxIndicator) and self.regularizer.lower.shape != shape:
+            raise ValueError(
+                f"regularizer box bounds must have the anchor's shape {shape}, got {self.regularizer.lower.shape}"
+            )
+        self.slopes = np.asarray(self.slopes, dtype=float).reshape(len(self.offsets), shape[0])
         if not 0 < self.rho < math.inf:
             raise ValueError("rho must be positive and finite (subproblem must be strongly convex)")
         if not 0 <= self.hinge_weight < math.inf:
@@ -97,13 +116,15 @@ class QpSolution:
 
 def qp_objective(qp: CanonicalQp, u: np.ndarray) -> float:
     """Objective of the canonical subproblem at u (hinge kept exact)."""
-    return _objective(qp, u, u - qp.anchor, qp.offsets + qp.slopes @ u)
+    r = qp.offsets + qp.slopes @ u
+    return _objective(qp, u, u - qp.anchor, float(np.maximum.reduce(r)) if r.size else None)
 
 
-def _objective(qp: CanonicalQp, u: np.ndarray, diff: np.ndarray, r: np.ndarray) -> float:  # diff = u - w, r = b + A u
+def _objective(qp: CanonicalQp, u: np.ndarray, diff: np.ndarray, r_max: Optional[float]) -> float:
+    """Objective from ``diff = u - w`` and ``r_max = max(b + A u)`` (None when m = 0)."""
     val = 0.5 * qp.rho * float(diff @ diff) + float(qp.linear @ u) + qp.regularizer.value(u)
-    if r.size:
-        val += qp.hinge_weight * max(0.0, float(np.maximum.reduce(r)))
+    if r_max is not None:
+        val += qp.hinge_weight * max(0.0, r_max)
     return val
 
 
@@ -117,39 +138,18 @@ def _primal_from_dual(qp: CanonicalQp, mu: np.ndarray) -> np.ndarray:
 
 
 def kkt_residual(qp: CanonicalQp, sol: QpSolution, activity_tol: float = 1e-9) -> float:
-    """Worst violation of the epigraph-QP KKT system at (u, v, mu, dual_v)."""
-    return _kkt_residual(qp, sol, sol.u - qp.anchor, qp.offsets + qp.slopes @ sol.u, activity_tol)
+    """Worst violation of the epigraph-QP KKT system at (u, v, mu, dual_v).
 
-
-def _kkt_residual(qp: CanonicalQp, sol: QpSolution, diff: np.ndarray, r: np.ndarray, activity_tol=1e-9) -> float:
-    """``kkt_residual`` from ``diff = u - w`` and the hinge values ``r`` at u."""
+    Every term is computed from scratch, whatever the solver knows about the
+    answer: this is the reference that the solver's own certificate
+    (``_assemble``) must equal bit for bit.
+    """
     u, v, mu, dual_v = sol.u, sol.v, sol.mu, sol.dual_v
-    s = qp.rho * diff + qp.linear
+    r = qp.offsets + qp.slopes @ u
+    s = qp.rho * (u - qp.anchor) + qp.linear
     if r.size:
         s = s + qp.slopes.T @ mu
-
-    reg = qp.regularizer
-    if isinstance(reg, Zero):
-        stat_u = math.sqrt(s @ s)  # np.linalg.norm(s), bit for bit
-    elif isinstance(reg, BoxIndicator):
-        scale = 1.0 + np.abs(u)
-        at_lo = u <= reg.lower + activity_tol * scale
-        at_hi = u >= reg.upper - activity_tol * scale
-        res = np.abs(s)
-        res = np.where(at_lo, np.maximum(0.0, -s), res)
-        res = np.where(at_hi & ~at_lo, np.maximum(0.0, s), res)
-        res = np.where(at_lo & at_hi, 0.0, res)  # lower == upper: the normal cone is all of R
-        dom = np.maximum(reg.lower - u, 0.0) + np.maximum(u - reg.upper, 0.0)
-        stat_u = float(np.linalg.norm(res) + np.maximum.reduce(dom, initial=0.0))
-    elif isinstance(reg, L1):
-        lam = reg.weight
-        at_zero = np.abs(u) <= activity_tol
-        res = np.abs(s + lam * np.sign(u))
-        res = np.where(at_zero, np.maximum(np.abs(s) - lam, 0.0), res)
-        stat_u = float(np.linalg.norm(res))
-    else:  # pragma: no cover - exhaustive over Regularizer
-        raise TypeError(f"unknown regularizer {type(reg)!r}")
-
+    stat_u = _stationarity(qp, u, s, activity_tol)
     stat_v = abs(qp.hinge_weight - np.add.reduce(mu) - dual_v)
     neg_duals = max(float(np.maximum.reduce(np.maximum(-mu, 0.0), initial=0.0)), max(0.0, -dual_v))
     slack = r - v
@@ -158,6 +158,32 @@ def _kkt_residual(qp: CanonicalQp, sol: QpSolution, diff: np.ndarray, r: np.ndar
     if r.size:
         comp = max(comp, float(np.maximum.reduce(np.abs(mu * slack))))
     return max(stat_u, stat_v, neg_duals, primal, comp)
+
+
+def _stationarity(qp: CanonicalQp, u: np.ndarray, s: np.ndarray, activity_tol: float = 1e-9) -> float:
+    """Stationarity term of the KKT residual: how far s = rho*(u - w) + l + A^T mu
+    is from -(the regularizer's subdifferential at u), plus, for a Box, how far u
+    is outside it."""
+    reg = qp.regularizer
+    if isinstance(reg, Zero):
+        return math.sqrt(s @ s)  # np.linalg.norm(s), bit for bit
+    if isinstance(reg, BoxIndicator):
+        scale = 1.0 + np.abs(u)
+        at_lo = u <= reg.lower + activity_tol * scale
+        at_hi = u >= reg.upper - activity_tol * scale
+        res = np.abs(s)
+        res = np.where(at_lo, np.maximum(0.0, -s), res)
+        res = np.where(at_hi & ~at_lo, np.maximum(0.0, s), res)
+        res = np.where(at_lo & at_hi, 0.0, res)  # lower == upper: the normal cone is all of R
+        dom = np.maximum(reg.lower - u, 0.0) + np.maximum(u - reg.upper, 0.0)
+        return float(np.linalg.norm(res) + np.maximum.reduce(dom, initial=0.0))
+    if isinstance(reg, L1):
+        lam = reg.weight
+        at_zero = np.abs(u) <= activity_tol
+        res = np.abs(s + lam * np.sign(u))
+        res = np.where(at_zero, np.maximum(np.abs(s) - lam, 0.0), res)
+        return float(np.linalg.norm(res))
+    raise TypeError(f"unknown regularizer {type(reg)!r}")  # pragma: no cover - exhaustive over Regularizer
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +267,9 @@ def _solve_pattern_system(
     when v > 0.  ``offsets`` and ``gamma`` are b and Gamma, or the residuals
     of a refinement step.  It is solved by least squares so that duplicate and
     zero hinge rows stay well handled: in a consistent system u is unique even
-    when mu is not.
+    when mu is not.  A one-row system k*mu = b (one hinge, v = 0) with k != 0
+    and |k|, |b| in [1e-280, 1e280] (or b = +-0) skips LAPACK's driver: its
+    least-squares answer there is exactly b * (1/k) (``_least_squares``).
     """
     if free is not None:
         pinned = ~free
@@ -262,7 +290,7 @@ def _solve_pattern_system(
             bordered[:na, :na] = K
             bordered[na, na] = 0.0
             K, rhs = bordered, np.concatenate((rhs, (gamma,)))
-        sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
+        sol = _least_squares(K, rhs)
         mu[active] = sol[:na]
         if v_positive:
             v = float(sol[na])
@@ -272,6 +300,21 @@ def _solve_pattern_system(
     u = x.copy()  # x may be the caller's face table
     u[free] = r / qp.rho
     return u, mu, v
+
+
+def _least_squares(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.lstsq(K, rhs, rcond=None)[0]`` for a square K, bit for bit.
+
+    A 1x1 system k*mu = b inside the band is answered as ``b * (1/k)``: the
+    n = 1 branch of dgelsd's ``dlalsd`` scales b by 1/k through ``dlascl``, and
+    in the band dgelsd scales neither k nor b first.  k = 0, a side outside the
+    band and larger systems go to ``lstsq``, with the rcond that None resolves to.
+    """
+    if len(rhs) == 1:
+        k, b = K.item(), rhs.item()
+        if k and _ONE_ROW_LO <= abs(k) <= _ONE_ROW_HI and (not b or _ONE_ROW_LO <= abs(b) <= _ONE_ROW_HI):
+            return np.array((b * (1.0 / k),))
+    return np.linalg.lstsq(K, rhs, rcond=_EPS * len(rhs))[0]
 
 
 def _refine_pattern(qp: CanonicalQp, u: np.ndarray, mu: np.ndarray, pattern: np.ndarray) -> np.ndarray:
@@ -325,24 +368,47 @@ def _pattern_iteration(
 
 
 def _assemble(qp: CanonicalQp, u, mu, v, active, r: Optional[np.ndarray] = None) -> QpSolution:
-    """Candidate solution; its KKT residual and objective share the hinge values r at u."""
+    """Candidate solution, certified in one pass over the hinge values r at u.
+
+    The residual is ``kkt_residual``'s, bit for bit, less the work that is
+    structurally zero here.  This function clamps mu >= 0 and v >= 0 and sets
+    dual_v >= 0, so the dual-sign term is exactly 0 and is not formed, and the
+    primal term's max(0, -v) is 0.  The rest of the primal term is
+    max(max(r) - v, 0), from the max(r) that the objective reads: rounding is
+    monotone, so max_k fl(r_k - v) = fl(max(r) - v).  When
+    mu is all zero (the prox-point shortcut, a loop answer with no hinge
+    held), A^T mu and mu * (r - v) would only add zeros, and they are skipped:
+    the stationarity term reads s through its absolute values, so the sign of
+    a zero in s does not matter.  ``sum(mu)`` is formed once, for dual_v and
+    the v-stationarity term.
+    """
     mu = np.maximum(mu, 0.0) if mu.size else mu
-    if v <= 0.0:
-        v = 0.0
-    dual_v = 0.0 if v > 0 else max(qp.hinge_weight - np.add.reduce(mu), 0.0)
+    v = 0.0 if v <= 0.0 else float(v)
+    total = np.add.reduce(mu)
+    dual_v = 0.0 if v > 0 else float(max(qp.hinge_weight - total, 0.0))
     r = qp.offsets + qp.slopes @ u if r is None else r
+    r_max = float(np.maximum.reduce(r)) if r.size else None
     diff = u - qp.anchor
-    sol = QpSolution(
-        u=u,
-        v=float(v),
-        mu=mu,
-        dual_v=float(dual_v),
-        kkt_residual=np.inf,
-        active_set=tuple(active.tolist()),
-        objective=_objective(qp, u, diff, r),
+    s = qp.rho * diff + qp.linear
+    comp = abs(dual_v * v)
+    if np.count_nonzero(mu):  # one C call; a NaN counts as nonzero
+        s = s + qp.slopes.T @ mu
+        comp = max(comp, float(np.maximum.reduce(np.abs(mu * (r - v)))))
+    residual = max(
+        _stationarity(qp, u, s),
+        abs(qp.hinge_weight - total - dual_v),
+        0.0 if r_max is None else max(r_max - v, 0.0),
+        comp,
     )
-    sol.kkt_residual = _kkt_residual(qp, sol, diff, r)
-    return sol
+    return QpSolution(
+        u=u,
+        v=v,
+        mu=mu,
+        dual_v=dual_v,
+        kkt_residual=residual,
+        active_set=tuple(active.tolist()),
+        objective=_objective(qp, u, diff, r_max),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +438,8 @@ def solve_canonical_qp(
     if not (0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
     m = qp.m
-    u0 = _primal_from_dual(qp, np.zeros(m))
+    # _primal_from_dual(qp, np.zeros(m)) bit for bit: A^T 0 is +0.0 in every entry
+    u0 = qp.regularizer.prox(qp.anchor - (qp.linear + _ZERO if m else qp.linear) / qp.rho, qp.rho)
     r0 = qp.offsets + qp.slopes @ u0
     hinge0 = max(0.0, float(np.maximum.reduce(r0))) if m else 0.0
     sol = None

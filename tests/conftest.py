@@ -2,7 +2,14 @@
 
 import pytest
 
+import ssqpbench.algorithms as algorithms
 import ssqpbench.qp_subproblem as qp_subproblem
+from ssqpbench.harness import BenchConfig, run_experiment
+from ssqpbench.problems import generate_regression_problem
+
+# the shipped regression instance (criteria 3 and 4) and USV instance (criterion 8)
+REGRESSION_SPEC = {"seed": 11, "d": 14, "n": 450, "critical": 10, "tolerance": 1.3}
+USV_SPEC = {"kind": "usv", "seed": 7, "n": 100, "horizon": 40}
 
 
 @pytest.fixture
@@ -17,3 +24,51 @@ def pattern_solves(monkeypatch):
 
     monkeypatch.setattr(qp_subproblem, "_solve_pattern_system", counting)
     return calls
+
+
+def _record_qmo_calls(config: BenchConfig, out_dir) -> list:
+    """Every ``(qp, tol, warm)`` the run passes to ``solve_canonical_qp``.
+
+    The loops call the solver through the ``algorithms`` module global, which
+    is where the bench's tracer wraps it too.
+    """
+    calls = []
+    solve = algorithms.solve_canonical_qp
+
+    def recording(qp, tol=1e-9, warm=None):
+        calls.append((qp, tol, warm))
+        return solve(qp, tol=tol, warm=warm)
+
+    algorithms.solve_canonical_qp = recording
+    try:
+        run_experiment(config, output_dir=out_dir)
+    finally:
+        algorithms.solve_canonical_qp = solve
+    return calls
+
+
+@pytest.fixture(scope="session")
+def qmo_stream(tmp_path_factory):
+    """The QMO traffic of short runs on the shipped instances, keyed by loop.
+
+    ``"ssqp"``: one 300-step SSQP seed on the regression instance (the bench's
+    reg-ssqp loop); ``"varas"``: one 10-epoch VARAS seed on the USV instance
+    (usv-varas).  Each value is the list of ``(qp, tol, warm)`` arguments in
+    call order, so a test can replay real traffic, warm starts included.
+    """
+    problem, _ = generate_regression_problem(**REGRESSION_SPEC)
+    ssqp = BenchConfig.from_dict({
+        "problem": {"kind": "regression", **REGRESSION_SPEC}, "algorithm": "ssqp", "gamma": 100.0,
+        "schedule": {"kind": "ssqp_strongly_convex", "mu": problem.strong_convexity,
+                     "smoothness": problem.smoothness},
+        "seeds": [0], "horizon": 300, "checkpoint_stride": 50,
+    })
+    varas = BenchConfig.from_dict({
+        "problem": USV_SPEC, "algorithm": "varas", "gamma": 1e6,
+        "schedule": {"kind": "varas", "mu": 0.0, "smoothness_gamma": 350.0},
+        "seeds": [0], "epochs": 10, "checkpoint_stride": 1,
+    })
+    return {
+        "ssqp": _record_qmo_calls(ssqp, tmp_path_factory.mktemp("qmo_ssqp")),
+        "varas": _record_qmo_calls(varas, tmp_path_factory.mktemp("qmo_varas")),
+    }

@@ -1,6 +1,7 @@
 """Canonical QP solver: closed-form cases, KKT certification, oracle agreement."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ import ssqpbench.qp_subproblem as qp_subproblem
 from ssqpbench.qp_subproblem import (
     _coordinate_pattern,
     _faces,
+    _least_squares,
     _pattern_iteration,
     _primal_from_dual,
     _refine_pattern,
@@ -553,6 +555,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match=field.replace("_", " ")):
             CanonicalQp(regularizer=Zero(), **scalars, **self.data())
 
+    def test_rejects_a_box_of_another_dimension(self):
+        # a one-element box used to be broadcast to every coordinate, and the
+        # QP solved for a box the caller never gave (u = [-0.1, -0.1, -0.1])
+        box = BoxIndicator(lower=np.array([-0.1]), upper=np.array([0.1]))
+        with pytest.raises(ValueError, match="regularizer box bounds"):
+            CanonicalQp(rho=1.0, regularizer=box, hinge_weight=1.0, **self.data())
+
+    def test_rejects_a_linear_term_of_another_shape(self):
+        # it used to fail only inside the objective, with a bare matmul error
+        data = dict(self.data(), linear=np.ones(1))
+        with pytest.raises(ValueError, match="linear"):
+            CanonicalQp(rho=1.0, regularizer=Zero(), hinge_weight=1.0, **data)
+
+    @pytest.mark.parametrize("anchor", [np.zeros((1, 3)), np.float64(0.0)], ids=["2-D", "0-d"])
+    def test_rejects_an_anchor_that_is_not_a_vector(self, anchor):
+        data = dict(self.data(), anchor=anchor, linear=np.ones(np.shape(anchor)))
+        with pytest.raises(ValueError, match="anchor"):
+            CanonicalQp(rho=1.0, regularizer=Zero(), hinge_weight=1.0, **data)
+
     def test_accepts_huge_finite_data(self):
         # a sum or a dot product over these entries overflows; the check must not
         data = {key: np.full_like(arr, 1.7e308) for key, arr in self.data().items()}
@@ -595,6 +616,145 @@ class TestSharedHingeValues:
     def test_refined_answer(self):
         qp = rounding_floor_instance()
         self.assert_recomputed_bitwise(qp, solve_canonical_qp(qp, tol=1e-12))
+
+    @pytest.mark.parametrize("loop", ["ssqp", "varas"])
+    def test_shipped_instance_traffic(self, qmo_stream, loop):
+        # the QPs an SSQP run on the regression instance and a VARAS run on the
+        # USV instance pass the solver, with their warm starts
+        shortcut = held = 0
+        for qp, tol, warm in qmo_stream[loop]:
+            sol = solve_canonical_qp(qp, tol=tol, warm=warm)
+            self.assert_recomputed_bitwise(qp, sol)
+            shortcut += not sol.active_set
+            held += bool(sol.active_set)
+        assert shortcut and held
+
+    @pytest.mark.parametrize(
+        "qp",
+        [
+            make_qp(rho=2.0, anchor=[0.5, -0.0], linear=[1.0, -0.0]),
+            make_qp(rho=2.0, anchor=[0.5, 1.0], linear=[1.0, -0.5], offsets=[1.0, 2.0],
+                    slopes=[[1.0, -1.0], [2.0, 0.5]]),
+            make_qp(rho=2.0, anchor=[0.5, 1.0], linear=[1.0, -0.5], gamma=5.0, offsets=[-10.0, -3.0],
+                    slopes=[[1.0, -1.0], [2.0, 0.5]]),
+        ],
+        ids=["no_hinge", "zero_hinge_weight", "slack_hinges"],
+    )
+    def test_prox_point_shortcut(self, qp, pattern_solves):
+        sol = solve_canonical_qp(qp)
+        assert not pattern_solves and sol.converged and not sol.mu.any()
+        self.assert_recomputed_bitwise(qp, sol)
+
+
+class TestZeroDualProxPoint:
+    @pytest.mark.parametrize("reg", [Zero(), BoxIndicator(-np.ones(2), np.ones(2)), L1(0.0)],
+                             ids=["zero", "box", "l1"])
+    def test_signed_zeros_match_the_zero_dual_product(self, reg):
+        # w = l = -0.0 in coordinate 1, whose slope column is all negative:
+        # the prox point is w - (l + A^T 0) / rho, and it keeps -0.0 only if
+        # A^T 0 is +0.0 in every entry, as l + 0.0 is
+        qp = make_qp(rho=2.0, anchor=[0.5, -0.0], linear=[1.0, -0.0], regularizer=reg, gamma=5.0,
+                     offsets=[-10.0, -3.0], slopes=[[1.0, -1.0], [2.0, -0.5]])
+        sol = solve_canonical_qp(qp)
+        assert sol.active_set == () and sol.converged
+        assert sol.u.tobytes() == _primal_from_dual(qp, np.zeros(qp.m)).tobytes()
+        if isinstance(reg, Zero):
+            assert np.signbit(sol.u[1])
+
+
+class TestOneRowSchurSolve:
+    """A 1x1 system inside the band is answered as b * (1/k), what lstsq returns."""
+
+    lstsq = staticmethod(np.linalg.lstsq)  # the reference, taken before any test patches it
+
+    @pytest.fixture
+    def lstsq_shapes(self, monkeypatch):
+        """The shapes of the systems that reach ``np.linalg.lstsq`` during the test."""
+        shapes = []
+
+        def recording(K, rhs, rcond=None):
+            shapes.append(K.shape)
+            return self.lstsq(K, rhs, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording)
+        return shapes
+
+    def assert_scalar_path_matches_lstsq(self, lstsq_shapes, systems):
+        for k, b in systems:
+            K, rhs = np.array([[k]]), np.array([b])
+            got = _least_squares(K, rhs)
+            assert not lstsq_shapes, f"k={k!r}, b={b!r} took lstsq"
+            assert got.tobytes() == self.lstsq(K, rhs, rcond=None)[0].tobytes(), (k, b)
+
+    def test_log_uniform_draws_across_the_band(self, lstsq_shapes):
+        rng = np.random.default_rng(19)
+        draws = rng.choice([-1.0, 1.0], (2000, 2)) * 10.0 ** rng.uniform(-280.0, 280.0, (2000, 2))
+        self.assert_scalar_path_matches_lstsq(lstsq_shapes, draws.tolist())
+
+    def test_band_edges_signed_zeros_and_negative_k(self, lstsq_shapes):
+        ks = [1e-280, 1e280, -1e-280, -1e280, 1.0, -3.0, 7.3e-140]
+        bs = [0.0, -0.0, 1e-280, -1e-280, 1e280, -1e280, 2.5, -2.5]
+        self.assert_scalar_path_matches_lstsq(lstsq_shapes, itertools.product(ks, bs))
+
+    def test_outside_the_band_goes_to_lstsq(self, lstsq_shapes):
+        systems = [(0.0, 1.0), (-0.0, 1.0), (1e-281, 1.0), (1e281, 1.0), (-1e300, -0.0),
+                   (1.0, 1e-281), (1.0, -1e281), (1.0, np.inf), (1.0, np.nan)]
+        for k, b in systems:
+            K, rhs = np.array([[k]]), np.array([b])
+            np.testing.assert_array_equal(_least_squares(K, rhs), self.lstsq(K, rhs, rcond=None)[0])
+        assert lstsq_shapes == [(1, 1)] * len(systems)
+
+    def test_larger_systems_keep_lstsq(self):
+        rng = np.random.default_rng(20)
+        for n in (2, 3, 5):
+            K, rhs = rng.standard_normal((n, n)), rng.standard_normal(n)
+            assert _least_squares(K, rhs).tobytes() == np.linalg.lstsq(K, rhs, rcond=None)[0].tobytes()
+
+    def test_solver_falls_back_below_the_band(self, lstsq_shapes):
+        # one hinge with slope 1e-150: its Schur system is k = 1e-300 < 1e-280
+        sol = solve_canonical_qp(make_qp(gamma=10.0, offsets=[1.0], slopes=[1e-150]))
+        assert (1, 1) in lstsq_shapes and sol.converged
+        lstsq_shapes.clear()
+        # slope -1: k = 1 takes the scalar path
+        assert solve_canonical_qp(make_qp(gamma=10.0, offsets=[1.0], slopes=[-1.0])).converged
+        assert (1, 1) not in lstsq_shapes
+
+
+def criterion_1_stream():
+    """Criterion 1's QPs: ``default_rng(2024)``, d <= 6, m <= 5, Zero/Box/L1 in thirds."""
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        d, m = int(rng.integers(1, 7)), int(rng.integers(0, 6))
+        yield random_instance(rng, d, m, random_regularizer(rng, d))
+
+
+def answer_bytes(sol):
+    """Every QpSolution field as bytes (floats as float64, the active set as int64)."""
+    floats = (sol.v, sol.dual_v, sol.kkt_residual, sol.objective)
+    return b"".join((
+        sol.u.tobytes(), sol.mu.tobytes(), np.array(floats, dtype=np.float64).tobytes(),
+        np.array(sol.active_set, dtype=np.int64).tobytes(), b"|",
+        np.array((sol.converged, sol.prox_hit, sol.sweeps), dtype=np.int64).tobytes(),
+    ))
+
+
+# sha256 of answer_bytes over criterion 1's 1,000 QPs, each solved cold and then
+# warm from its own answer; recorded before the certificate became one pass and
+# one-row Schur systems stopped calling lstsq.  The bench's trace pins all run
+# the Zero regularizer: this is the one that pins Box and L1 answers.
+CRITERION_1_ANSWERS_PIN = "f79ea19ffa7a866d052020ea7c4da7ca71079d72c2867a5269e2516b6947aaa8"
+
+
+def test_criterion_1_answers_pinned():
+    h = hashlib.sha256()
+    kinds = set()
+    for qp in criterion_1_stream():
+        kinds.add(type(qp.regularizer))
+        cold = solve_canonical_qp(qp)
+        h.update(answer_bytes(cold))
+        h.update(answer_bytes(solve_canonical_qp(qp, warm=cold)))
+    assert kinds == {Zero, BoxIndicator, L1}
+    assert h.hexdigest() == CRITERION_1_ANSWERS_PIN
 
 
 class TestSolverProperties:
