@@ -181,10 +181,12 @@ class _Run:
         self._coin_pos += 1
         return bool(u < p)
 
-    def guard(self, x: np.ndarray, where: str) -> None:
-        # the 2-norm of a 1-D array, computed as np.linalg.norm does
+    def guard(self, x: np.ndarray, where: str, *args) -> None:
+        # the 2-norm of a 1-D array, computed as np.linalg.norm does; the
+        # message fills ``where`` with ``args`` only when it raises
         if math.sqrt(float(x @ x)) > DIVERGENCE_NORM:
             self.trace.diverged = True
+            where = where.format(*args)
             raise DivergenceError(
                 f"iterate norm exceeded {DIVERGENCE_NORM:g} during {where}", self.trace, self.counters
             )
@@ -310,7 +312,7 @@ def ssqp_run(
         eta = schedule.stepsize(t)
         prev_x = state.x
         state = ssqp_step(state, sample, eta, config.gamma, problem.regularizer, run.counters, config.qp_tol)
-        run.guard(state.x, f"ssqp iteration {t}")
+        run.guard(state.x, "ssqp iteration {}", t)
         if config.record_steps:
             run.trace.steps.append(
                 {"t": t, "x_t": prev_x, "x_next": state.x.copy(), "eta": eta, "sample": sample}
@@ -402,7 +404,7 @@ def ssqp_skip_run(
             state, sample, eta, p, config.gamma, problem.regularizer,
             solve_qp, run.counters, config.qp_tol,
         )
-        run.guard(state.x, f"ssqp-skip iteration {t}")
+        run.guard(state.x, "ssqp-skip iteration {}", t)
         run.checkpoint(t + 1, state.x)
     return state.x, run.trace, run.counters
 
@@ -460,8 +462,9 @@ def varas_run(
         hinge_weight = gamma * beta
         x_prev = snapshot.copy()
         x_mix = np.zeros_like(x_prev)
+        az = alpha * z  # y, the QP anchor and x_new each read alpha * z; formed once per z
         for t in range(1, t_s + 1):
-            y = (y_prev_coef * x_prev + alpha * z + y_snap_term) / y_denom
+            y = (y_prev_coef * x_prev + az + y_snap_term) / y_denom
             z_plus = (z + mb * y) / one_mb
             idx = run.batch(1)
             sample = sfo_query(problem, y, idx, counters)
@@ -469,7 +472,7 @@ def varas_run(
             cgrads = sample.constraint_gradients
             qp = CanonicalQp(
                 rho=rho,
-                anchor=(abm * y + alpha * z) / rho,
+                anchor=(abm * y + az) / rho,
                 linear=ab * n_tilde,
                 regularizer=regularizer,
                 hinge_weight=hinge_weight,
@@ -482,7 +485,8 @@ def varas_run(
                 counters.qmo_nonconverged += 1
             last_qp = sol
             z_new = sol.u
-            x_new = x_prev_coef * x_prev + alpha * z_new + x_snap_term
+            az = alpha * z_new
+            x_new = x_prev_coef * x_prev + az + x_snap_term
             x_mix = x_mix + weights[t - 1] * x_new
             if config.record_steps:
                 run.trace.steps.append(
@@ -495,7 +499,7 @@ def varas_run(
                 )
             x_prev = x_new
             z = z_new
-            run.guard(x_new, f"varas epoch {s} inner {t}")
+            run.guard(x_new, "varas epoch {} inner {}", s, t)
         snapshot = x_mix
         run.checkpoint(s, snapshot)
     return snapshot, run.trace, counters

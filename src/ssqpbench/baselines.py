@@ -90,6 +90,6 @@ def primal_dual_run(
             state, sample, schedule.eta_x, schedule.eta_lambda,
             problem.regularizer, schedule.clip,
         )
-        run.guard(state.x, f"primal-dual iteration {t}")
+        run.guard(state.x, "primal-dual iteration {}", t)
         run.checkpoint(t + 1, state.x)
     return state.x, run.trace, run.counters

@@ -9,7 +9,9 @@ Subcommands:
 Exit codes: 0 success, 2 config error (including unreadable or non-finite
 data files and a regression instance whose feasibility LP fails, under run
 and reference alike), 3 divergence, 4 reference solve failure, 5 non-finite
-oracle evaluation (NaN or infinity in a function value or gradient).  When a
+oracle evaluation (NaN or infinity in a function value or gradient), 6 a
+failed linear-algebra kernel (``numpy.linalg.LinAlgError``, which is not a
+config error although it subclasses ValueError).  When a
 run fails part-way, the seeds that finish still write their traces, a
 diverged seed writes its partial trace, metadata.json records every seed's
 status, and stderr names the directory they are in.  Under run, stderr also
@@ -24,6 +26,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .algorithms import DivergenceError
 from .problem_model import NonFiniteEvaluationError
@@ -44,6 +48,7 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_REFERENCE = 4
 EXIT_NON_FINITE = 5
+EXIT_LINALG = 6
 
 
 def _load_config(path: str, args: argparse.Namespace) -> BenchConfig:
@@ -161,6 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        print(f"linear algebra failure: {exc}", file=sys.stderr)
+        return EXIT_LINALG
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

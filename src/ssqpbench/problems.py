@@ -47,9 +47,10 @@ class UsvProblem:
 
     The decision vector stacks the T-2 interior waypoints; the fixed endpoints
     are substituted during evaluation, leaving m = T-1 squared-speed
-    constraints ||p(t) - p(t+1)||^2 <= v_max^2.  The current ensemble is fixed
-    once built: the arrays become read-only, and W_i^T and I - W_i are formed
-    here once for every evaluation.
+    constraints ||p(t) - p(t+1)||^2 <= v_max^2, whose Jacobian is a band of at
+    most 4 nonzeros per row.  The current ensemble is fixed once built: the
+    arrays become read-only, and W_i^T and I - W_i are formed here once for
+    every evaluation.
     """
 
     horizon: int  # waypoint count T
@@ -128,11 +129,7 @@ def generate_current_ensemble(
 
 def path_from_decision(usv: UsvProblem, x: np.ndarray) -> np.ndarray:
     """Full (T, 2) waypoint path with the fixed endpoints substituted."""
-    path = np.empty((usv.horizon, 2))
-    path[0] = usv.p_start
-    path[-1] = usv.p_dest
-    path[1:-1] = np.asarray(x, dtype=float).reshape(-1, 2)
-    return path
+    return np.concatenate((usv.p_start, x, usv.p_dest), dtype=float).reshape(usv.horizon, 2)
 
 
 def straight_line_path(usv: UsvProblem) -> np.ndarray:
@@ -150,31 +147,38 @@ def usv_component_block(usv: UsvProblem, x: np.ndarray, idx: np.ndarray) -> tupl
     of segment t; d||r||^3/dr = 3 ||r|| r flows to the waypoints by the chain
     rule, with the endpoint contributions dropped.  Returns values (b,) and
     gradients (b, dim) for the b indices; row j depends on ``idx[j]`` alone.
+    One index is taken by basic indexing, with 2-D matmuls that round as the
+    rows of a batch do.
     """
+    key = idx[0] if len(idx) == 1 else idx
     path = path_from_decision(usv, x)
     head = path[:-1]
-    eff = head - head @ usv.w_transposed[idx]  # (I - W_i) p(t) rows
-    resid = eff - path[1:] - usv.currents_z[idx][:, None, :]  # (b, T-1, 2)
-    # the 2-norm of each row, computed as np.linalg.norm does
-    norms = np.sqrt(np.add.reduce(resid * resid, -1))
-    values = np.sum(norms**3, axis=-1)
+    eff = head - head @ usv.w_transposed[key]  # (I - W_i) p(t) rows
+    resid = eff - path[1:] - usv.currents_z[key][..., None, :]  # ([b,] T-1, 2)
+    # the 2-norm of each row, computed as np.linalg.norm does (its reduce
+    # over two entries is one addition)
+    sq = resid * resid
+    norms = np.sqrt(sq[..., 0] + sq[..., 1])
+    values = np.add.reduce(norms**3, -1)
 
     weighted = 3.0 * norms[..., None] * resid
     # interior waypoint t gets segment t through (I - W_i) and segment t-1 negated
-    grads = (weighted @ usv.i_minus_w[idx])[:, 1:] - weighted[:, :-1]
-    return values, grads.reshape(len(idx), usv.dim)
+    grads = (weighted @ usv.i_minus_w[key])[..., 1:, :] - weighted[..., :-1, :]
+    return values.reshape(len(idx)), grads.reshape(len(idx), usv.dim)
 
 
 def _usv_constraint_bundle(usv: UsvProblem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     path = path_from_decision(usv, x)
     diffs = path[:-1] - path[1:]  # (T-1, 2)
-    vals = np.einsum("ij,ij->i", diffs, diffs) - usv.v_max**2
-    # segment k moves interior waypoints k-1 (by +2 diffs) and k (by -2 diffs)
-    twice = 2.0 * diffs
-    grads = np.zeros((usv.m, usv.horizon - 2, 2))
-    rows = np.arange(usv.m - 1)
-    grads[rows + 1, rows] = twice[1:]
-    grads[rows, rows] = -twice[:-1]
+    sq = diffs * diffs
+    vals = sq[:, 0] + sq[:, 1] - usv.v_max**2
+    # segment k moves interior waypoints k-1 (by +2 diffs) and k (by -2 diffs).
+    # The m * dim = (T-2) (dim+2) Jacobian entries, viewed as (T-2, dim+2),
+    # hold waypoint k's two bands in row k: columns :2 (segment k) and dim:
+    # (segment k+1), so each band is one strided slice
+    grads = np.zeros((usv.horizon - 2, usv.dim + 2))
+    np.multiply(diffs[1:], 2.0, out=grads[:, usv.dim :])
+    np.multiply(diffs[:-1], -2.0, out=grads[:, :2])
     return vals, grads.reshape(usv.m, usv.dim)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,8 @@ _DENSE_LIMIT = 8
 # one that LAPACK's dgelsd scales neither side of; its answer is then b * (1/k)
 _ONE_ROW_LO, _ONE_ROW_HI = 1e-280, 1e280
 _EPS = np.finfo(float).eps
+# what a ratio test enters instead of np.errstate where no ratio can overflow
+_NO_ERRSTATE = nullcontext()
 
 
 @dataclass
@@ -459,7 +462,9 @@ def _min_ratio(c: np.ndarray, dc: np.ndarray, labels: np.ndarray, ray: bool, eps
     blocking = ((dc < 0.0 if ray else c + dc < -eps) & (c < np.inf)).nonzero()[0]
     if not blocking.size:
         return np.inf, -1
-    with np.errstate(over="ignore"):  # a subnormal rate gives an infinite ratio
+    # c >= 0 here, so off a ray -dc > c + eps and every ratio is below 1; only
+    # a ray's ratio can overflow (to inf, on a tiny rate)
+    with np.errstate(over="ignore") if ray else _NO_ERRSTATE:
         ratios = c[blocking] / -dc[blocking]
     j = int(ratios.argmin())
     return float(ratios[j]), int(labels[blocking[j]])
@@ -537,7 +542,8 @@ def _dual_active_set(
         if not capped:
             c, dc = gamma - np.add.reduce(mu), -np.add.reduce(step)
             if dc < 0.0 if ray else c + dc < -eps:
-                with np.errstate(over="ignore"):
+                # as in _min_ratio, unless rounding left c = gamma - sum mu below 0
+                with np.errstate(over="ignore") if ray or c < 0.0 else _NO_ERRSTATE:
                     alpha, leaving = min((alpha, leaving), (float(c / -dc), m))
         if coords:
             dy = qp.slopes.T @ step if ray else qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu_t - y

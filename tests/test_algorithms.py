@@ -170,6 +170,24 @@ class TestSsqpRun:
         with pytest.raises(DivergenceError) as err:
             ssqp_run(problem, config)
         assert err.value.trace.diverged
+        assert str(err.value) == "iterate norm exceeded 1e+12 during ssqp iteration 11"
+
+    def test_guard_formats_its_message_only_when_it_raises(self):
+        formatted = []
+
+        class Where(str):
+            def format(self, *args):
+                formatted.append(args)
+                return super().format(*args)
+
+        config = RunConfig(gamma=1.0, schedule=None, x0=np.zeros(1), horizon=1)
+        run = _Run(toy_problem(), config, 1)
+        for t in range(100):
+            run.guard(np.ones(1), Where("step {} of {}"), t, 100)
+        assert formatted == [] and not run.trace.diverged
+        with pytest.raises(DivergenceError, match="^iterate norm exceeded 1e\\+12 during step 7 of 100$"):
+            run.guard(np.full(1, 2e12), Where("step {} of {}"), 7, 100)
+        assert formatted == [(7, 100)] and run.trace.diverged
 
     def test_convex_schedule_reports_averaged_iterate(self):
         problem = toy_problem()

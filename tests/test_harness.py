@@ -384,6 +384,19 @@ class TestCli:
         assert cli_main(["run", str(cfg)]) == 5
         assert "non-finite" in capsys.readouterr().err
 
+    def test_linear_algebra_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, but a failed kernel is not a config error
+        import ssqpbench.algorithms
+
+        def failing_solve(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(ssqpbench.algorithms, "solve_canonical_qp", failing_solve)
+        cfg = self.write_config(tmp_path, output_dir=str(tmp_path / "out"))
+        assert cli_main(["run", str(cfg)]) == 6
+        err = capsys.readouterr().err
+        assert "linear algebra failure: SVD did not converge" in err and "config error" not in err
+
     def test_report_subcommand(self, tmp_path, capsys):
         out = tmp_path / "traces"
         out.mkdir()

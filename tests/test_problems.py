@@ -137,6 +137,25 @@ class TestUsvProblem:
                 problem.constraint_values_grads(x)[0], seg - usv.v_max**2, rtol=1e-12
             )
 
+    @pytest.mark.parametrize("horizon", [40, 3])
+    def test_constraint_bundle_matches_segment_jacobian(self, horizon):
+        # the gradient row of segment k, ||p_k - p_k+1||^2 - v_max^2, is
+        # +2 (p_k - p_k+1) on p_k and -2 (p_k - p_k+1) on p_k+1, where path
+        # waypoint j is decision block j - 1 and the endpoints drop out
+        problem, usv = make_usv_problem(seed=7, n=3, horizon=horizon)
+        rng = np.random.default_rng(horizon)
+        for _ in range(5):
+            x = rng.uniform(0.0, 200.0, size=problem.dim)
+            path = path_from_decision(usv, x)
+            jac = np.zeros((usv.m, problem.dim))
+            for k in range(usv.m):
+                d = path[k] - path[k + 1]
+                if k >= 1:
+                    jac[k, 2 * (k - 1) : 2 * k] = 2.0 * d
+                if k + 1 <= usv.horizon - 2:
+                    jac[k, 2 * k : 2 * k + 2] = -2.0 * d
+            assert problem.constraint_values_grads(x)[1].tobytes() == jac.tobytes()
+
     def test_constraint_smoothness_is_four(self):
         # numerically bound the constraint Hessian: gradient map is 4-Lipschitz
         problem, _ = make_usv_problem(seed=3, n=3, horizon=9)
@@ -164,11 +183,12 @@ class TestBlockRows:
     which can round them differently from a one-index block.)
     """
 
-    @pytest.mark.parametrize("case", ["usv", "quadratic-affine", "quadratic-balls"])
+    @pytest.mark.parametrize("case", ["usv", "usv-horizon-3", "quadratic-affine", "quadratic-balls"])
     def test_full_block_rows_equal_one_index_blocks(self, case):
         rng = np.random.default_rng(11)
-        if case == "usv":
-            problem, usv = make_usv_problem(seed=7, n=100, horizon=40)
+        if case.startswith("usv"):
+            # the USV block answers one index with basic indexing and 2-D matmuls
+            problem, usv = make_usv_problem(seed=7, n=100, horizon=3 if case == "usv-horizon-3" else 40)
             center, scale = straight_line_path(usv), 5.0
         else:
             problem = random_quadratic_problem(
@@ -181,8 +201,9 @@ class TestBlockRows:
             vals, grads = problem.component_values_grads(x, np.arange(n))
             for j in range(n):
                 one_vals, one_grads = problem.component_values_grads(x, np.array([j]))
-                assert np.array_equal(vals[j : j + 1], one_vals)
-                assert np.array_equal(grads[j : j + 1], one_grads)
+                assert one_vals.shape == (1,) and one_grads.shape == (1, problem.dim)
+                assert vals[j : j + 1].tobytes() == one_vals.tobytes()
+                assert grads[j : j + 1].tobytes() == one_grads.tobytes()
 
 
 class TestRegressionProblem:

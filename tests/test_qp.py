@@ -629,6 +629,24 @@ class TestSharedHingeValues:
             held += bool(sol.active_set)
         assert shortcut and held
 
+    @pytest.mark.parametrize("loop", ["ssqp", "varas"])
+    def test_ratio_tests_enter_no_errstate_off_a_ray(self, qmo_stream, loop, monkeypatch):
+        # an overflowing ratio needs a ray step (or a cap slack that rounding
+        # left negative), and the shipped instances' traffic takes neither, so
+        # no solve of it enters np.errstate
+        entries = []
+        errstate = np.errstate
+
+        class Counting(errstate):
+            def __init__(self, **kwargs):
+                entries.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", Counting)
+        for qp, tol, warm in qmo_stream[loop]:
+            solve_canonical_qp(qp, tol=tol, warm=warm)
+        assert entries == []
+
     @pytest.mark.parametrize(
         "qp",
         [
