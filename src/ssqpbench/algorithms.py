@@ -11,7 +11,7 @@ instrumentation and is never charged to the counters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 DIVERGENCE_NORM = 1e12
+# the schedule classes each loop accepts (the harness rejects any other)
+SSQP_SCHEDULES = (SsqpConvexSchedule, SsqpStronglyConvexSchedule, TunedConstantSchedule)
+SKIP_SCHEDULES = (SkipSchedule,)
+VARAS_SCHEDULES = (VarasSchedule,)
 # values drawn at a time from each random stream of a run
 _CHUNK = 4096
 
@@ -116,9 +120,6 @@ class RunConfig:
     cost_model_m: float = 1.0
     qp_tol: float = 1e-9
     record_steps: bool = False
-    # SSQP-Skip test hook: refresh y to the fresh stochastic gradient each
-    # step, which with p = 1 collapses the method to SSQP.
-    refresh_y: bool = False
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -266,6 +267,18 @@ def _linearized_qp(
     )
 
 
+def _solve_qmo(
+    qp: CanonicalQp, tol: float, warm: Optional[QpSolution], counters: Optional[OracleCounters]
+) -> QpSolution:
+    """One QMO call: solve the subproblem and, when counters are given, charge it."""
+    sol = solve_canonical_qp(qp, tol=tol, warm=warm)
+    if counters is not None:
+        counters.qmo_calls += 1
+        if not sol.converged:
+            counters.qmo_nonconverged += 1
+    return sol
+
+
 def ssqp_step(
     state: SsqpState,
     sample: SfoSample,
@@ -282,11 +295,7 @@ def ssqp_step(
     with weight eta.
     """
     qp = _linearized_qp(state.x, 1.0 / eta, sample.stochastic_gradient, gamma, sample, regularizer)
-    sol = solve_canonical_qp(qp, tol=qp_tol, warm=state.last_qp)
-    if counters is not None:
-        counters.qmo_calls += 1
-        if not sol.converged:
-            counters.qmo_nonconverged += 1
+    sol = _solve_qmo(qp, qp_tol, state.last_qp, counters)
     return SsqpState(
         x=sol.u,
         weighted_sum=state.weighted_sum + eta * sol.u,
@@ -300,7 +309,7 @@ def ssqp_run(
 ) -> tuple[np.ndarray, np.ndarray, RunTrace, OracleCounters]:
     """Run SSQP for config.horizon steps; returns (averaged, last, trace, counters)."""
     schedule = config.schedule
-    if not isinstance(schedule, (SsqpConvexSchedule, SsqpStronglyConvexSchedule, TunedConstantSchedule)):
+    if not isinstance(schedule, SSQP_SCHEDULES):
         raise TypeError("ssqp_run needs an SSQP schedule")
     run = _Run(problem, config, config.horizon)
     state = SsqpState(x=config.x0.copy())
@@ -360,13 +369,8 @@ def ssqp_skip_step(
     last_qp = state.last_qp
     if solve_qp:
         qp = _linearized_qp(drift, p / eta, state.y, gamma, sample, regularizer)
-        sol = solve_canonical_qp(qp, tol=qp_tol, warm=state.last_qp)
-        if counters is not None:
-            counters.qmo_calls += 1
-            if not sol.converged:
-                counters.qmo_nonconverged += 1
-        x_next = sol.u
-        last_qp = sol
+        last_qp = _solve_qmo(qp, qp_tol, state.last_qp, counters)
+        x_next = last_qp.u
     else:
         x_next = drift
     y_next = state.y + p / (2.0 * eta) * (x_next - drift)
@@ -384,7 +388,7 @@ def ssqp_skip_run(
     y0 and the skipped steps evaluate the gradient alone.
     """
     schedule = config.schedule
-    if not isinstance(schedule, SkipSchedule):
+    if not isinstance(schedule, SKIP_SCHEDULES):
         raise TypeError("ssqp_skip_run needs a SkipSchedule")
     if problem.strong_convexity <= 0:
         raise ValueError("SSQP-Skip requires a strongly convex problem (mu > 0)")
@@ -398,8 +402,6 @@ def ssqp_skip_run(
         eta, p = schedule.parameters(t)
         solve_qp = run.coin(p)
         sample = sfo_query(problem, state.x, run.batch(), run.counters, constraints=solve_qp)
-        if config.refresh_y:
-            state = replace(state, y=sample.stochastic_gradient.copy())
         state = ssqp_skip_step(
             state, sample, eta, p, config.gamma, problem.regularizer,
             solve_qp, run.counters, config.qp_tol,
@@ -430,7 +432,7 @@ def varas_run(
     solved in canonical form.
     """
     schedule = config.schedule
-    if not isinstance(schedule, VarasSchedule):
+    if not isinstance(schedule, VARAS_SCHEDULES):
         raise TypeError("varas_run needs a VarasSchedule")
     if problem.is_streaming:
         raise StreamingUnsupportedError("VARAS needs a finite-sum problem")
@@ -479,12 +481,8 @@ def varas_run(
                 offsets=sample.constraint_values - alpha * (cgrads @ z_plus),
                 slopes=alpha * cgrads,
             )
-            sol = solve_canonical_qp(qp, tol=config.qp_tol, warm=last_qp)
-            counters.qmo_calls += 1
-            if not sol.converged:
-                counters.qmo_nonconverged += 1
-            last_qp = sol
-            z_new = sol.u
+            last_qp = _solve_qmo(qp, config.qp_tol, last_qp, counters)
+            z_new = last_qp.u
             az = alpha * z_new
             x_new = x_prev_coef * x_prev + az + x_snap_term
             x_mix = x_mix + weights[t - 1] * x_new

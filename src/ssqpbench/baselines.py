@@ -15,14 +15,16 @@ import numpy as np
 
 from .problem_model import ConstrainedProblem, OracleCounters, SfoSample, sfo_query
 from .algorithms import RunConfig, RunTrace, _Run
+from .schedules import _Schedule
 
 __all__ = ["PrimalDualState", "PrimalDualSchedule", "primal_dual_step", "primal_dual_run"]
 
 
 @dataclass(frozen=True)
-class PrimalDualSchedule:
+class PrimalDualSchedule(_Schedule):
     """Constant primal/dual stepsizes with optional Lagrangian-gradient clipping."""
 
+    kind = "primal_dual"
     eta_x: float
     eta_lambda: float
     clip: Optional[float] = None
@@ -33,13 +35,9 @@ class PrimalDualSchedule:
         if self.clip is not None and self.clip <= 0:
             raise ValueError("clip bound must be positive")
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": "primal_dual",
-            "eta_x": self.eta_x,
-            "eta_lambda": self.eta_lambda,
-            "clip": self.clip,
-        }
+
+# the schedule classes primal_dual_run accepts (the harness rejects any other)
+PRIMAL_DUAL_SCHEDULES = (PrimalDualSchedule,)
 
 
 @dataclass
@@ -79,7 +77,7 @@ def primal_dual_run(
 ) -> tuple[np.ndarray, RunTrace, OracleCounters]:
     """Run the baseline for config.horizon steps; returns (last iterate, trace, counters)."""
     schedule = config.schedule
-    if not isinstance(schedule, PrimalDualSchedule):
+    if not isinstance(schedule, PRIMAL_DUAL_SCHEDULES):
         raise TypeError("primal_dual_run needs a PrimalDualSchedule")
     run = _Run(problem, config, config.horizon)
     state = PrimalDualState(x=config.x0.copy(), duals=np.zeros(problem.m))

@@ -11,10 +11,12 @@ data files and a regression instance whose feasibility LP fails, under run
 and reference alike), 3 divergence, 4 reference solve failure, 5 non-finite
 oracle evaluation (NaN or infinity in a function value or gradient), 6 a
 failed linear-algebra kernel (``numpy.linalg.LinAlgError``, which is not a
-config error although it subclasses ValueError).  When a
-run fails part-way, the seeds that finish still write their traces, a
-diverged seed writes its partial trace, metadata.json records every seed's
-status, and stderr names the directory they are in.  Under run, stderr also
+config error although it subclasses ValueError); a schedule kind that the
+algorithm cannot run is a config error.  When a run fails part-way, the
+seeds that finish still write their traces, a diverged seed writes its
+partial trace, metadata.json records every seed's status (a seed stopped by
+any other exception, an interrupt included, is ``error`` and a seed not yet
+run ``pending``), and stderr names the directory they are in.  Under run, stderr also
 gets one warning line naming each seed that used QP answers which did not
 certify (``qp_nonconverged`` in metadata.json above 0).
 The SSQPBENCH_OUTPUT_DIR environment variable overrides the config output dir.
@@ -51,13 +53,19 @@ EXIT_NON_FINITE = 5
 EXIT_LINALG = 6
 
 
-def _load_config(path: str, args: argparse.Namespace) -> BenchConfig:
+def _config_doc(path: str):
+    """The config document at ``path``; a metadata document yields its ``config``."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if isinstance(doc, dict) and "config" in doc and "version" in doc:
         doc = doc["config"]  # metadata documents are re-runnable configs
+    return doc
+
+
+def _load_config(path: str, args: argparse.Namespace) -> BenchConfig:
+    doc = _config_doc(path)
     for flag in ("gamma", "horizon", "epochs", "batch_size", "output_dir"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -80,10 +88,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = resolve_output_dir(config)
     try:
         meta = run_experiment(config, out)
-    except (DivergenceError, NonFiniteEvaluationError):
-        # run_experiment raises these only after every seed ran and metadata.json was written
-        _warn_nonconverged(json.loads((out / "metadata.json").read_text()))
-        print(f"run failed part-way; metadata.json and the partial traces are in {out}", file=sys.stderr)
+    except BaseException as exc:
+        manifest = out / "metadata.json"
+        if isinstance(exc, (DivergenceError, NonFiniteEvaluationError)):
+            # raised only after every seed ran
+            _warn_nonconverged(json.loads(manifest.read_text()))
+        # a config error (ValueError) is reported alone; most stop the run before it writes anything
+        if manifest.exists() and (isinstance(exc, np.linalg.LinAlgError) or not isinstance(exc, ValueError)):
+            print(f"run failed part-way; metadata.json and the partial traces are in {out}", file=sys.stderr)
         raise
     _warn_nonconverged(meta)
     print(f"wrote {len(meta['trace_files'])} trace(s) to {out}")
@@ -102,9 +114,7 @@ def _cmd_reference(args: argparse.Namespace) -> int:
     block = {"x_star": [float(v) for v in x_star], "f_star": float(f_star)}
     print(json.dumps({"reference": block}, indent=2))
     if args.update:
-        doc = json.loads(Path(args.config).read_text())
-        if "config" in doc and "version" in doc:
-            doc = doc["config"]
+        doc = _config_doc(args.config)
         doc["reference"] = block
         Path(args.config).write_text(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK

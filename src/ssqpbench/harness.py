@@ -20,6 +20,9 @@ import numpy as np
 
 from . import __version__
 from .algorithms import (
+    SKIP_SCHEDULES,
+    SSQP_SCHEDULES,
+    VARAS_SCHEDULES,
     DivergenceError,
     RunConfig,
     TraceRow,
@@ -27,7 +30,7 @@ from .algorithms import (
     ssqp_skip_run,
     varas_run,
 )
-from .baselines import PrimalDualSchedule, primal_dual_run
+from .baselines import PRIMAL_DUAL_SCHEDULES, primal_dual_run
 from .penalty import gamma_from_slater
 from .problem_model import ConstrainedProblem, NonFiniteEvaluationError
 from .problems import (
@@ -37,13 +40,7 @@ from .problems import (
     random_quadratic_problem,
     straight_line_path,
 )
-from .schedules import (
-    SkipSchedule,
-    SsqpConvexSchedule,
-    SsqpStronglyConvexSchedule,
-    TunedConstantSchedule,
-    VarasSchedule,
-)
+from .schedules import VarasSchedule
 
 __all__ = [
     "BenchConfig",
@@ -60,7 +57,16 @@ __all__ = [
 TRACE_COLUMNS = ("iter", "sfo", "qmo", "gap", "rel_gap", "max_viol", "sum_viol", "dist_sq", "wall")
 OUTPUT_DIR_ENV = "SSQPBENCH_OUTPUT_DIR"
 
-_ALGORITHMS = ("ssqp", "ssqp-skip", "varas", "primal-dual")
+# algorithm -> (its run function, looked up in this module when a seed runs;
+# the config field that sets the run's length; the schedule classes it accepts)
+_ALGORITHMS = {
+    "ssqp": ("ssqp_run", "horizon", SSQP_SCHEDULES),
+    "ssqp-skip": ("ssqp_skip_run", "horizon", SKIP_SCHEDULES),
+    "varas": ("varas_run", "epochs", VARAS_SCHEDULES),
+    "primal-dual": ("primal_dual_run", "horizon", PRIMAL_DUAL_SCHEDULES),
+}
+# schedule kind -> class
+_SCHEDULES = {cls.kind: cls for *_, accepted in _ALGORITHMS.values() for cls in accepted}
 _PROBLEMS = ("usv", "regression", "regression-file", "quadratic")
 # trace columns that calls_to_threshold and slope_fit accept as ``metric``
 _METRICS = ("dist_sq", "gap", "rel_gap", "max_viol", "sum_viol")
@@ -106,16 +112,15 @@ class BenchConfig:
 
     def validate(self) -> None:
         if self.algorithm not in _ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {_ALGORITHMS}")
+            raise ConfigError(f"algorithm must be one of {tuple(_ALGORITHMS)}")
         if not isinstance(self.problem, dict) or self.problem.get("kind") not in _PROBLEMS:
             raise ConfigError(f"problem.kind must be one of {_PROBLEMS}")
         if not isinstance(self.gamma, (int, float)) or not self.gamma > 0:
             raise ConfigError("gamma must be a positive number")
         if not self.seeds or not all(isinstance(s, int) for s in self.seeds):
             raise ConfigError("seeds must be a nonempty list of integers")
-        if self.algorithm == "varas":
-            if self.epochs < 1:
-                raise ConfigError("varas requires epochs >= 1")
+        if _ALGORITHMS[self.algorithm][1] == "epochs" and self.epochs < 1:
+            raise ConfigError(f"{self.algorithm} requires epochs >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.cost_model_m < 1:
@@ -203,29 +208,22 @@ def build_problem(config: BenchConfig) -> tuple[ConstrainedProblem, np.ndarray]:
 
 
 def build_schedule(config: BenchConfig, problem: ConstrainedProblem):
+    """The configured schedule; ``as_dict`` output builds it back (derived keys are dropped)."""
     spec = dict(config.schedule)
     kind = spec.pop("kind", None)
+    cls = _SCHEDULES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    if cls not in _ALGORITHMS[config.algorithm][2]:
+        raise ConfigError(f"algorithm {config.algorithm!r} cannot run a {kind!r} schedule")
+    for name in cls.derived:
+        spec.pop(name, None)
+    if cls is VarasSchedule:
+        spec.setdefault("n", problem.n_components)
     try:
-        if kind == "ssqp_convex":
-            spec.pop("eta0", None)
-            return SsqpConvexSchedule(**spec)
-        if kind == "ssqp_strongly_convex":
-            spec.pop("offset", None)
-            return SsqpStronglyConvexSchedule(**spec)
-        if kind == "tuned_constant":
-            return TunedConstantSchedule(**spec)
-        if kind == "skip":
-            spec.pop("omega", None)
-            return SkipSchedule(**spec)
-        if kind == "varas":
-            spec.pop("s0", None)
-            spec.setdefault("n", problem.n_components)
-            return VarasSchedule(**spec)
-        if kind == "primal_dual":
-            return PrimalDualSchedule(**spec)
+        return cls(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad schedule parameters: {exc}") from exc
-    raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +236,41 @@ def resolve_output_dir(config: BenchConfig) -> Path:
     return Path(override) if override else Path(config.output_dir)
 
 
+def _run_seed(run, problem: ConstrainedProblem, run_cfg: RunConfig, path: Path):
+    """Run one seed and write its trace; returns its record and the typed error it ended with."""
+    try:
+        *_, trace, counters = run(problem, run_cfg)
+        status, error = "ok", None
+    except DivergenceError as exc:
+        trace, counters, status, error = exc.trace, exc.counters, "diverged", exc
+    except NonFiniteEvaluationError as exc:
+        return ("non-finite", None, None), exc
+    write_trace(path, trace.rows)
+    return (status, path.name, (counters.qmo_nonconverged, counters.sfo_calls, counters.qmo_calls)), error
+
+
 def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None) -> dict:
     """Execute all configured seeds; writes one trace CSV per seed plus metadata.
 
     Returns the metadata document.  The metadata's ``config`` key fed back to
-    run_experiment reproduces the traces byte-for-byte.  A seed that diverges
-    writes its partial trace and a seed whose oracle evaluation is non-finite
-    writes none; the other seeds still run, ``metadata.json`` records each
-    seed's status (``ok``, ``diverged`` or ``non-finite``) and, under
-    ``qp_nonconverged``, its count of QMO answers that did not certify, and
-    under ``sfo_calls``/``qmo_calls`` its oracle counts at the end of the run
-    (each null for a non-finite seed); the first such error is then re-raised.
+    run_experiment reproduces the traces byte-for-byte.  Before the first seed
+    runs, the configured seeds' old traces are deleted and ``metadata.json``
+    is written with every seed ``pending``; it is replaced atomically after
+    each seed, so it always records each seed's status.  A seed that diverges
+    writes its partial trace (``diverged``) and a seed whose oracle evaluation
+    is non-finite writes none (``non-finite``); the other seeds still run, and
+    the first such error is re-raised at the end.  Any other exception marks
+    its seed ``error`` and propagates at once.  ``qp_nonconverged`` maps each
+    seed to its count of QMO answers that did not certify and
+    ``sfo_calls``/``qmo_calls`` to its oracle counts at the end of its run;
+    each is null for a seed that has none (``non-finite``, ``error`` or
+    ``pending``).
     """
     problem, x0 = build_problem(config)
     schedule = build_schedule(config, problem)
+    run_name, length_field, _ = _ALGORITHMS[config.algorithm]
+    length = getattr(config, length_field)
+    stride = config.checkpoint_stride or max(1, math.ceil(length / 500))
     out = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -260,80 +279,58 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
         x_star = np.asarray(config.reference["x_star"], dtype=float) if config.reference.get("x_star") is not None else None
         f_star = config.reference.get("f_star")
 
-    stride = config.checkpoint_stride
-    if stride == 0:
-        span = config.epochs if config.algorithm == "varas" else config.horizon
-        stride = max(1, math.ceil(span / 500)) if span else 1
-
-    trace_files = {}
-    seed_status = {}
-    qp_nonconverged = {}
-    sfo_calls = {}
-    qmo_calls = {}
-    first_error = None
-    started = time.time()
-    for seed in config.seeds:
-        fname = f"{config.algorithm}_seed{seed}.csv"
-        if config.algorithm != "varas" and config.horizon == 0:
-            # degenerate metadata-only run: empty trace per seed
-            write_trace(out / fname, [])
-            trace_files[seed] = fname
-            seed_status[seed] = "ok"
-            qp_nonconverged[seed] = sfo_calls[seed] = qmo_calls[seed] = 0
-            continue
-        run_cfg = RunConfig(
-            gamma=config.gamma,
-            schedule=schedule,
-            x0=x0.copy(),
-            horizon=config.horizon if config.algorithm != "varas" else 0,
-            epochs=config.epochs if config.algorithm == "varas" else 0,
-            batch_size=config.batch_size,
-            seed=seed,
-            checkpoint_stride=stride,
-            x_star=x_star,
-            f_star=f_star,
-            cost_model_m=config.cost_model_m,
-        )
-        try:
-            if config.algorithm == "ssqp":
-                _, _, trace, counters = ssqp_run(problem, run_cfg)
-            elif config.algorithm == "ssqp-skip":
-                _, trace, counters = ssqp_skip_run(problem, run_cfg)
-            elif config.algorithm == "varas":
-                _, trace, counters = varas_run(problem, run_cfg)
-            else:
-                _, trace, counters = primal_dual_run(problem, run_cfg)
-            seed_status[seed] = "ok"
-        except DivergenceError as exc:
-            trace, counters = exc.trace, exc.counters
-            seed_status[seed] = "diverged"
-            first_error = first_error or exc
-        except NonFiniteEvaluationError as exc:
-            (out / fname).unlink(missing_ok=True)  # no stale trace from an earlier run
-            seed_status[seed] = "non-finite"
-            qp_nonconverged[seed] = sfo_calls[seed] = qmo_calls[seed] = None
-            first_error = first_error or exc
-            continue
-        qp_nonconverged[seed] = counters.qmo_nonconverged
-        sfo_calls[seed] = counters.sfo_calls
-        qmo_calls[seed] = counters.qmo_calls
-        write_trace(out / fname, trace.rows)
-        trace_files[seed] = fname
-
+    # seed -> (status, trace file, (qp_nonconverged, sfo_calls, qmo_calls)), None where it has none
+    records = {seed: ("pending", None, None) for seed in config.seeds}
     meta = {
         "version": __version__,
         "config": config.to_dict(),
         "schedule_resolved": schedule.as_dict(),
         "checkpoint_stride_resolved": stride,
         "gamma_provenance": config.gamma_provenance,
-        "trace_files": {str(k): v for k, v in trace_files.items()},
-        "seed_status": {str(k): v for k, v in seed_status.items()},
-        "qp_nonconverged": {str(k): v for k, v in qp_nonconverged.items()},
-        "sfo_calls": {str(k): v for k, v in sfo_calls.items()},
-        "qmo_calls": {str(k): v for k, v in qmo_calls.items()},
-        "measured_seconds_informational": time.time() - started,
     }
-    (out / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+    started = time.time()
+
+    def write_manifest() -> None:
+        meta["trace_files"] = {str(s): f for s, (_, f, _) in records.items() if f}
+        meta["seed_status"] = {str(s): status for s, (status, _, _) in records.items()}
+        for i, key in enumerate(("qp_nonconverged", "sfo_calls", "qmo_calls")):
+            meta[key] = {str(s): None if c is None else c[i] for s, (_, _, c) in records.items()}
+        meta["measured_seconds_informational"] = time.time() - started
+        tmp = out / "metadata.json.tmp"
+        tmp.write_text(json.dumps(meta, indent=2) + "\n")
+        os.replace(tmp, out / "metadata.json")
+
+    paths = {seed: out / f"{config.algorithm}_seed{seed}.csv" for seed in config.seeds}
+    for path in paths.values():
+        path.unlink(missing_ok=True)
+    write_manifest()
+    first_error = None
+    for seed in config.seeds:
+        try:
+            if length == 0:
+                # degenerate metadata-only run: empty trace per seed
+                write_trace(paths[seed], [])
+                records[seed], error = ("ok", paths[seed].name, (0, 0, 0)), None
+            else:
+                run_cfg = RunConfig(
+                    gamma=config.gamma,
+                    schedule=schedule,
+                    x0=x0.copy(),
+                    batch_size=config.batch_size,
+                    seed=seed,
+                    checkpoint_stride=stride,
+                    x_star=x_star,
+                    f_star=f_star,
+                    cost_model_m=config.cost_model_m,
+                    **{length_field: length},
+                )
+                records[seed], error = _run_seed(globals()[run_name], problem, run_cfg, paths[seed])
+        except BaseException:
+            records[seed] = ("error", None, None)
+            raise
+        finally:
+            write_manifest()
+        first_error = first_error or error
     if first_error is not None:
         raise first_error
     return meta

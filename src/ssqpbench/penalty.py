@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,15 +25,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """Hinge statistics of the constraint values at a point.
-
-    ``worst_index`` is the smallest 0-based index attaining the max hinge, or
-    None when the point is feasible.
-    """
+    """Hinge statistics of the constraint values at a point."""
 
     max_violation: float
     sum_violation: float
-    worst_index: Optional[int]
 
 
 def gamma_from_slater(slater_gap: float, slater_margin: float) -> float:
@@ -69,9 +63,9 @@ def violation_report(problem: ConstrainedProblem, x: np.ndarray) -> ViolationRep
     """Max-hinge and sum-hinge constraint violation at x."""
     cvals, _ = problem.constraint_values_grads(np.asarray(x, dtype=float))
     if cvals.size == 0:
-        return ViolationReport(0.0, 0.0, None)
+        return ViolationReport(0.0, 0.0)
     pos = np.maximum(cvals, 0.0)
     max_v = float(pos.max())
     if max_v == 0.0:
-        return ViolationReport(0.0, 0.0, None)
-    return ViolationReport(max_v, float(pos.sum()), int(np.argmax(pos)))
+        return ViolationReport(0.0, 0.0)
+    return ViolationReport(max_v, float(pos.sum()))

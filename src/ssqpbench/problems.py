@@ -59,7 +59,6 @@ class UsvProblem:
     v_max: float
     p_start: np.ndarray
     p_dest: np.ndarray
-    region: float  # half-width, informational
     w_transposed: np.ndarray = field(init=False, repr=False)  # (n, 2, 2), contiguous
     i_minus_w: np.ndarray = field(init=False, repr=False)  # (n, 2, 2)
 
@@ -210,7 +209,6 @@ def make_usv_problem(
         v_max=v_max,
         p_start=np.asarray(p_start, dtype=float),
         p_dest=np.asarray(p_dest, dtype=float),
-        region=region,
     )
 
     problem = ConstrainedProblem(

@@ -11,9 +11,8 @@ the strongly convex offset, Skip's omega) are computed once per object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -26,10 +25,26 @@ __all__ = [
 ]
 
 
+class _Schedule:
+    """Shared config form of the frozen schedule dataclasses.
+
+    Each schedule names its config ``kind`` and the constants ``derived`` from
+    its fields; ``as_dict`` lists the kind, the fields, then those constants,
+    and the harness drops the derived keys when it builds a schedule back.
+    """
+
+    kind: str
+    derived: tuple[str, ...] = ()
+
+    def as_dict(self) -> dict:
+        return {"kind": self.kind, **asdict(self), **{name: getattr(self, name) for name in self.derived}}
+
+
 @dataclass(frozen=True)
-class TunedConstantSchedule:
+class TunedConstantSchedule(_Schedule):
     """A hand-tuned constant SSQP stepsize (the benchmark experiments tune eta)."""
 
+    kind = "tuned_constant"
     eta: float
 
     def __post_init__(self):
@@ -41,12 +56,9 @@ class TunedConstantSchedule:
             raise ValueError("iteration must be >= 0")
         return self.eta
 
-    def as_dict(self) -> dict:
-        return {"kind": "tuned_constant", "eta": self.eta}
-
 
 @dataclass(frozen=True)
-class SsqpConvexSchedule:
+class SsqpConvexSchedule(_Schedule):
     """SSQP stepsizes for merely convex problems.
 
     eta0 = min{sqrt(delta0)/(2 sigma), 1/(4L)} where delta0 bounds the initial
@@ -55,6 +67,8 @@ class SsqpConvexSchedule:
     constant eta0/sqrt(T); the diminishing mode emits eta0/sqrt(t+1).
     """
 
+    kind = "ssqp_convex"
+    derived = ("eta0",)
     horizon: int
     delta0: float
     sigma: float
@@ -81,22 +95,13 @@ class SsqpConvexSchedule:
             return self.eta0 / math.sqrt(t + 1)
         return self.eta0 / math.sqrt(self.horizon)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": "ssqp_convex",
-            "horizon": self.horizon,
-            "delta0": self.delta0,
-            "sigma": self.sigma,
-            "smoothness": self.smoothness,
-            "diminishing": self.diminishing,
-            "eta0": self.eta0,
-        }
-
 
 @dataclass(frozen=True)
-class SsqpStronglyConvexSchedule:
+class SsqpStronglyConvexSchedule(_Schedule):
     """SSQP stepsizes eta_t = 2 / (mu (t + floor(16 kappa) + 1)), kappa = L/mu."""
 
+    kind = "ssqp_strongly_convex"
+    derived = ("offset",)
     mu: float
     smoothness: float
 
@@ -119,20 +124,14 @@ class SsqpStronglyConvexSchedule:
             raise ValueError("iteration must be >= 0")
         return 2.0 / (self.mu * (t + self.offset + 1))
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": "ssqp_strongly_convex",
-            "mu": self.mu,
-            "smoothness": self.smoothness,
-            "offset": self.offset,
-        }
-
 
 @dataclass(frozen=True)
-class SkipSchedule:
+class SkipSchedule(_Schedule):
     """SSQP-Skip parameters: omega = floor(4 kappa^2), eta_t = 2/(mu(t+1+omega)),
     p_t = sqrt(2 mu eta_t), overridden to p = 1 for the first ``kickstart`` steps."""
 
+    kind = "skip"
+    derived = ("omega",)
     mu: float
     smoothness: float
     kickstart: int = 0
@@ -167,18 +166,9 @@ class SkipSchedule:
         """Sum of p_t over t = 0..horizon-1 (mean QMO count)."""
         return sum(self.parameters(t)[1] for t in range(horizon))
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": "skip",
-            "mu": self.mu,
-            "smoothness": self.smoothness,
-            "omega": self.omega,
-            "kickstart": self.kickstart,
-        }
-
 
 @dataclass(frozen=True)
-class VarasSchedule:
+class VarasSchedule(_Schedule):
     """Per-epoch VARAS parameters.
 
     With L_gamma = L_f + gamma*L_g and s0 = floor(log2 n) + 1: epoch lengths
@@ -189,6 +179,8 @@ class VarasSchedule:
     Gamma_t = (1+mu beta_s)^t; ``theta_form`` holds the selection rule.
     """
 
+    kind = "varas"
+    derived = ("s0",)
     n: int
     mu: float  # 0 selects the convex regime
     smoothness_gamma: float  # L_gamma
@@ -285,12 +277,3 @@ class VarasSchedule:
             and lf_term > 0.0
             and omega + 1e-12 >= alpha * beta * self.smoothness_gamma / lf_term
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": "varas",
-            "n": self.n,
-            "mu": self.mu,
-            "smoothness_gamma": self.smoothness_gamma,
-            "s0": self.s0,
-        }

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import dataclasses
+
 import pytest
 
 import ssqpbench.algorithms as algorithms
@@ -24,6 +26,22 @@ def pattern_solves(monkeypatch):
 
     monkeypatch.setattr(qp_subproblem, "_solve_pattern_system", counting)
     return calls
+
+
+@pytest.fixture
+def refreshed_y(monkeypatch):
+    """SSQP-Skip steps that first set y to the sample's stochastic gradient.
+
+    With p = 1 this collapses SSQP-Skip to SSQP.  ``ssqp_skip_run`` calls the
+    step through the ``algorithms`` module global, so every step is wrapped.
+    """
+    step = algorithms.ssqp_skip_step
+
+    def refreshed(state, sample, *args, **kwargs):
+        state = dataclasses.replace(state, y=sample.stochastic_gradient.copy())
+        return step(state, sample, *args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "ssqp_skip_step", refreshed)
 
 
 def _record_qmo_calls(config: BenchConfig, out_dir) -> list:

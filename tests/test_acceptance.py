@@ -550,7 +550,7 @@ class TestAcceptance:
         assert meta_identical
         assert round_trip
 
-    def test_criterion_10_reductions(self):
+    def test_criterion_10_reductions(self, refreshed_y):
         # (a) m = 0: SSQP is seeded SGD step for step
         problem = random_quadratic_problem(seed=4, dim=4, n=10, m=0)
         horizon = 200
@@ -571,8 +571,9 @@ class TestAcceptance:
             sgd_defect = max(sgd_defect, float(np.max(np.abs(rec["x_next"] - x))))
         sgd_defect = max(sgd_defect, float(np.max(np.abs(x_ssqp - x))))
 
-        # (b) p = 1 with gradient-refreshed y: SSQP-Skip equals SSQP on the
-        # same batch stream (shifted by the y0 initialization draw)
+        # (b) p = 1 with gradient-refreshed y (the refreshed_y fixture wraps
+        # every Skip step): SSQP-Skip equals SSQP on the same batch stream
+        # (shifted by the y0 initialization draw)
         problem_b = random_quadratic_problem(seed=6, dim=3, n=8)
         horizon = 100
         schedule = SkipSchedule(
@@ -580,8 +581,7 @@ class TestAcceptance:
             kickstart=horizon,
         )
         skip_cfg = RunConfig(
-            gamma=2.0, schedule=schedule, x0=np.zeros(3), horizon=horizon,
-            seed=11, refresh_y=True,
+            gamma=2.0, schedule=schedule, x0=np.zeros(3), horizon=horizon, seed=11,
         )
         x_skip, _, _ = ssqp_skip_run(problem_b, skip_cfg)
         rng = np.random.default_rng(np.random.SeedSequence(11).spawn(2)[0])

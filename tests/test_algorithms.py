@@ -249,13 +249,13 @@ class TestSsqpSkip:
         _, _, counters = ssqp_skip_run(problem, config)
         assert counters.qmo_calls == horizon
 
-    def test_no_skip_with_refreshed_y_reduces_to_ssqp(self):
+    def test_no_skip_with_refreshed_y_reduces_to_ssqp(self, refreshed_y):
         problem = random_quadratic_problem(seed=6, dim=3, n=8)
         mu = problem.strong_convexity
         horizon = 100
         skip_sched = SkipSchedule(mu=mu, smoothness=problem.smoothness, kickstart=horizon)
         skip_cfg = RunConfig(gamma=2.0, schedule=skip_sched, x0=np.zeros(3),
-                             horizon=horizon, seed=11, refresh_y=True)
+                             horizon=horizon, seed=11)
         x_skip, _, _ = ssqp_skip_run(problem, skip_cfg)
 
         # with p = 1 and y refreshed each step, the drift cancels and the QP

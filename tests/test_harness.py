@@ -14,8 +14,13 @@ from ssqpbench import (
     ConfigError,
     DivergenceError,
     NonFiniteEvaluationError,
+    PrimalDualSchedule,
     RunConfig,
+    SkipSchedule,
+    SsqpConvexSchedule,
+    SsqpStronglyConvexSchedule,
     TraceRow,
+    TunedConstantSchedule,
     VarasSchedule,
     calls_to_threshold,
     read_trace,
@@ -90,6 +95,75 @@ class TestBenchConfig:
         assert problem.dim == 3 and x0.shape == (3,)
         sched = build_schedule(cfg, problem)
         assert sched.stepsize(0) == 0.05
+
+
+# one config per algorithm on the quadratic instance, with the run function
+# that harness calls for it
+ALGORITHM_CASES = [
+    ("ssqp_run", {}),
+    ("ssqp_skip_run", {"algorithm": "ssqp-skip", "schedule": {"kind": "skip", "mu": 0.4, "smoothness": 4.0}}),
+    ("varas_run", {"algorithm": "varas", "horizon": 0, "epochs": 3,
+                   "schedule": {"kind": "varas", "mu": 0.4, "smoothness_gamma": 10.0}}),
+    ("primal_dual_run", {"algorithm": "primal-dual",
+                         "schedule": {"kind": "primal_dual", "eta_x": 0.01, "eta_lambda": 0.01}}),
+]
+
+
+class TestRunTables:
+    """The algorithm and schedule-kind tables that assemble a run."""
+
+    @pytest.mark.parametrize("run_name, overrides", ALGORITHM_CASES, ids=[c[0] for c in ALGORITHM_CASES])
+    def test_run_function_is_looked_up_by_name_per_seed(self, tmp_path, monkeypatch, run_name, overrides):
+        # the bench wraps these harness globals, so a run must read them at call time
+        import ssqpbench.harness
+
+        run = getattr(ssqpbench.harness, run_name)
+        seeds = []
+
+        def counting(problem, config):
+            seeds.append(config.seed)
+            return run(problem, config)
+
+        monkeypatch.setattr(ssqpbench.harness, run_name, counting)
+        meta = run_experiment(BenchConfig.from_dict(quadratic_config(seeds=[0, 4], **overrides)), output_dir=tmp_path)
+        assert seeds == [0, 4]
+        assert meta["seed_status"] == {"0": "ok", "4": "ok"}
+
+    @pytest.mark.parametrize(
+        "algorithm, schedule",
+        [
+            ("ssqp", SsqpConvexSchedule(horizon=50, delta0=2.0, sigma=0.3, smoothness=3.0, diminishing=True)),
+            ("ssqp", SsqpStronglyConvexSchedule(mu=0.7, smoothness=5.3)),
+            ("ssqp", TunedConstantSchedule(eta=0.05)),
+            ("ssqp-skip", SkipSchedule(mu=0.7, smoothness=5.3, kickstart=2)),
+            ("varas", VarasSchedule(n=8, mu=0.4, smoothness_gamma=10.0)),
+            ("primal-dual", PrimalDualSchedule(eta_x=0.01, eta_lambda=0.02, clip=3.0)),
+        ],
+        ids=["ssqp_convex", "ssqp_strongly_convex", "tuned_constant", "skip", "varas", "primal_dual"],
+    )
+    def test_every_schedule_kind_round_trips(self, algorithm, schedule):
+        cfg = BenchConfig.from_dict(quadratic_config(algorithm=algorithm, epochs=2, schedule=schedule.as_dict()))
+        problem, _ = build_problem(cfg)
+        assert build_schedule(cfg, problem) == schedule
+
+    @pytest.mark.parametrize("kind", [["skip"], 3, None])
+    def test_kind_that_is_not_a_name_is_a_config_error(self, kind):
+        schedule = {"eta": 0.05} if kind is None else {"kind": kind, "eta": 0.05}
+        cfg = BenchConfig.from_dict(quadratic_config(schedule=schedule))
+        problem, _ = build_problem(cfg)
+        with pytest.raises(ConfigError, match="unknown schedule kind"):
+            build_schedule(cfg, problem)
+
+    def test_schedule_the_algorithm_cannot_run_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = {"problem": {"kind": "quadratic", "seed": 0}, "algorithm": "ssqp",
+               "schedule": {"kind": "skip", "mu": 0.5, "smoothness": 4.0}, "gamma": 5.0,
+               "seeds": [0, 1], "horizon": 20, "output_dir": str(out)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(path)]) == 2
+        assert "algorithm 'ssqp' cannot run a 'skip' schedule" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTraceFiles:
@@ -471,6 +545,58 @@ class TestCli:
             rows = read_trace(out / fname)
             assert rows[0].iteration == 0
             assert rows[-1].iteration < 2000
+
+    def test_linear_algebra_failure_leaves_manifest(self, tmp_path, capsys, monkeypatch):
+        # the 4th QP solve, in seed 0, fails: seed 0 is an error, seed 1 never ran
+        import ssqpbench.algorithms
+
+        solve = ssqpbench.algorithms.solve_canonical_qp
+        calls = []
+
+        def failing_fourth(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 4:
+                raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ssqpbench.algorithms, "solve_canonical_qp", failing_fourth)
+        out = tmp_path / "out"
+        cfg = self.write_config(tmp_path, seeds=[0, 1], output_dir=str(out))
+        assert cli_main(["run", str(cfg)]) == 6
+        assert f"metadata.json and the partial traces are in {out}" in capsys.readouterr().err
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["seed_status"] == {"0": "error", "1": "pending"}
+        assert meta["trace_files"] == {}
+        for key in ("qp_nonconverged", "sfo_calls", "qmo_calls"):
+            assert meta[key] == {"0": None, "1": None}
+        assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+
+    def test_interrupted_rerun_leaves_no_stale_manifest(self, tmp_path, capsys, monkeypatch):
+        # a horizon-80 rerun into a horizon-50 run's directory is interrupted at seed 1
+        import ssqpbench.harness
+
+        out = tmp_path / "out"
+        cfg = self.write_config(tmp_path, seeds=[0, 1], output_dir=str(out))
+        assert cli_main(["run", str(cfg)]) == 0
+        run = ssqpbench.harness.ssqp_run
+
+        def interrupted_at_seed_1(problem, config):
+            if config.seed == 1:
+                raise KeyboardInterrupt
+            return run(problem, config)
+
+        monkeypatch.setattr(ssqpbench.harness, "ssqp_run", interrupted_at_seed_1)
+        capsys.readouterr()
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(["run", str(cfg), "--horizon", "80"])
+        assert str(out) in capsys.readouterr().err
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["config"]["horizon"] == 80
+        assert meta["seed_status"] == {"0": "ok", "1": "error"}
+        assert meta["trace_files"] == {"0": "ssqp_seed0.csv"}
+        assert meta["sfo_calls"] == {"0": 80, "1": None}
+        assert read_trace(out / "ssqp_seed0.csv")[-1].iteration == 80
+        assert not (out / "ssqp_seed1.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_seed_leaves_no_trace(self, tmp_path):

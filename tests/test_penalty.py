@@ -106,18 +106,12 @@ class TestViolationReport:
         report = violation_report(problem, np.array([0.0]))
         assert report.max_violation == pytest.approx(2.0)
         assert report.sum_violation == pytest.approx(2.5)
-        assert report.worst_index == 2  # 0-based position of the worst constraint
 
     def test_feasible_point(self):
         problem = one_d_problem([constant_constraint(-1.0), constant_constraint(-0.2)])
         report = violation_report(problem, np.array([0.0]))
         assert report.max_violation == 0.0
         assert report.sum_violation == 0.0
-        assert report.worst_index is None
-
-    def test_tie_breaks_to_smallest_index(self):
-        problem = one_d_problem([constant_constraint(2.0), constant_constraint(2.0)])
-        assert violation_report(problem, np.array([0.0])).worst_index == 0
 
     def test_usv_sum_matches_direct_recomputation(self):
         from ssqpbench import make_usv_problem, path_from_decision

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ssqpbench import (
+    PrimalDualSchedule,
     SkipSchedule,
     SsqpConvexSchedule,
     SsqpStronglyConvexSchedule,
@@ -226,6 +227,14 @@ class TestDerivedConstantsComputedOnce:
             p = 1.0 if t < 2 else min(math.sqrt(2.0 * 0.7 * eta), 1.0)
             assert sched.parameters(t) == (eta, p)
         assert sched.as_dict() == {"kind": "skip", "mu": 0.7, "smoothness": 5.3, "omega": expected, "kickstart": 2}
+
+    def test_config_form_of_the_other_kinds(self):
+        # the kind, the fields in order, then VARAS's derived s0 = floor(log2 n) + 1
+        assert TunedConstantSchedule(eta=0.3).as_dict() == {"kind": "tuned_constant", "eta": 0.3}
+        assert VarasSchedule(n=12, mu=0.5, smoothness_gamma=7.0).as_dict() == {
+            "kind": "varas", "n": 12, "mu": 0.5, "smoothness_gamma": 7.0, "s0": 4}
+        assert PrimalDualSchedule(eta_x=0.01, eta_lambda=0.02).as_dict() == {
+            "kind": "primal_dual", "eta_x": 0.01, "eta_lambda": 0.02, "clip": None}
 
     def test_cache_keeps_equality_and_hash(self):
         used, fresh = SkipSchedule(mu=0.5, smoothness=2.0), SkipSchedule(mu=0.5, smoothness=2.0)
