@@ -47,6 +47,7 @@ from .algorithms import (
     ssqp_skip_step,
     ssqp_step,
     varas_run,
+    varas_step,
 )
 from .baselines import (
     PrimalDualSchedule,

@@ -45,10 +45,13 @@ __all__ = [
     "ssqp_run",
     "ssqp_skip_step",
     "ssqp_skip_run",
+    "varas_step",
     "varas_run",
 ]
 
 DIVERGENCE_NORM = 1e12
+# the KKT residual every QMO solve certifies to; an answer above it counts as qmo_nonconverged
+QP_TOL = 1e-9
 # the schedule classes each loop accepts (the harness rejects any other)
 SSQP_SCHEDULES = (SsqpConvexSchedule, SsqpStronglyConvexSchedule, TunedConstantSchedule)
 SKIP_SCHEDULES = (SkipSchedule,)
@@ -60,7 +63,7 @@ _CHUNK = 4096
 class DivergenceError(RuntimeError):
     """Iterates exceeded the divergence guard; carries the partial trace and the run's counters."""
 
-    def __init__(self, message: str, trace: "RunTrace", counters: Optional[OracleCounters] = None):
+    def __init__(self, message: str, trace: "RunTrace", counters: OracleCounters):
         super().__init__(message)
         self.trace = trace
         self.counters = counters
@@ -88,8 +91,6 @@ class TraceRow:
 @dataclass
 class RunTrace:
     rows: list[TraceRow] = field(default_factory=list)
-    steps: list[dict] = field(default_factory=list)  # populated when record_steps
-    diverged: bool = False
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
@@ -118,8 +119,6 @@ class RunConfig:
     x_star: Optional[np.ndarray] = None
     f_star: Optional[float] = None
     cost_model_m: float = 1.0
-    qp_tol: float = 1e-9
-    record_steps: bool = False
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -186,7 +185,6 @@ class _Run:
         # the 2-norm of a 1-D array, computed as np.linalg.norm does; the
         # message fills ``where`` with ``args`` only when it raises
         if math.sqrt(float(x @ x)) > DIVERGENCE_NORM:
-            self.trace.diverged = True
             where = where.format(*args)
             raise DivergenceError(
                 f"iterate norm exceeded {DIVERGENCE_NORM:g} during {where}", self.trace, self.counters
@@ -267,11 +265,9 @@ def _linearized_qp(
     )
 
 
-def _solve_qmo(
-    qp: CanonicalQp, tol: float, warm: Optional[QpSolution], counters: Optional[OracleCounters]
-) -> QpSolution:
-    """One QMO call: solve the subproblem and, when counters are given, charge it."""
-    sol = solve_canonical_qp(qp, tol=tol, warm=warm)
+def _solve_qmo(qp: CanonicalQp, warm: Optional[QpSolution], counters: Optional[OracleCounters]) -> QpSolution:
+    """One QMO call: solve the subproblem to ``QP_TOL`` and, when counters are given, charge it."""
+    sol = solve_canonical_qp(qp, tol=QP_TOL, warm=warm)
     if counters is not None:
         counters.qmo_calls += 1
         if not sol.converged:
@@ -286,7 +282,6 @@ def ssqp_step(
     gamma: float,
     regularizer,
     counters: Optional[OracleCounters] = None,
-    qp_tol: float = 1e-9,
 ) -> SsqpState:
     """One prox-linear step from state.x using the sampled gradient.
 
@@ -295,7 +290,7 @@ def ssqp_step(
     with weight eta.
     """
     qp = _linearized_qp(state.x, 1.0 / eta, sample.stochastic_gradient, gamma, sample, regularizer)
-    sol = _solve_qmo(qp, qp_tol, state.last_qp, counters)
+    sol = _solve_qmo(qp, state.last_qp, counters)
     return SsqpState(
         x=sol.u,
         weighted_sum=state.weighted_sum + eta * sol.u,
@@ -318,14 +313,8 @@ def ssqp_run(
     run.checkpoint(0, state.x)
     for t in range(config.horizon):
         sample = sfo_query(problem, state.x, run.batch(), run.counters)
-        eta = schedule.stepsize(t)
-        prev_x = state.x
-        state = ssqp_step(state, sample, eta, config.gamma, problem.regularizer, run.counters, config.qp_tol)
+        state = ssqp_step(state, sample, schedule.stepsize(t), config.gamma, problem.regularizer, run.counters)
         run.guard(state.x, "ssqp iteration {}", t)
-        if config.record_steps:
-            run.trace.steps.append(
-                {"t": t, "x_t": prev_x, "x_next": state.x.copy(), "eta": eta, "sample": sample}
-            )
         run.checkpoint(t + 1, state.averaged if use_avg else state.x)
     return state.averaged, state.x, run.trace, run.counters
 
@@ -352,7 +341,6 @@ def ssqp_skip_step(
     regularizer,
     solve_qp: bool,
     counters: Optional[OracleCounters] = None,
-    qp_tol: float = 1e-9,
 ) -> SkipState:
     """One SSQP-Skip step; ``solve_qp`` is the realized Bernoulli(p) draw.
 
@@ -369,7 +357,7 @@ def ssqp_skip_step(
     last_qp = state.last_qp
     if solve_qp:
         qp = _linearized_qp(drift, p / eta, state.y, gamma, sample, regularizer)
-        last_qp = _solve_qmo(qp, qp_tol, state.last_qp, counters)
+        last_qp = _solve_qmo(qp, state.last_qp, counters)
         x_next = last_qp.u
     else:
         x_next = drift
@@ -402,10 +390,7 @@ def ssqp_skip_run(
         eta, p = schedule.parameters(t)
         solve_qp = run.coin(p)
         sample = sfo_query(problem, state.x, run.batch(), run.counters, constraints=solve_qp)
-        state = ssqp_skip_step(
-            state, sample, eta, p, config.gamma, problem.regularizer,
-            solve_qp, run.counters, config.qp_tol,
-        )
+        state = ssqp_skip_step(state, sample, eta, p, config.gamma, problem.regularizer, solve_qp, run.counters)
         run.guard(state.x, "ssqp-skip iteration {}", t)
         run.checkpoint(t + 1, state.x)
     return state.x, run.trace, run.counters
@@ -413,6 +398,43 @@ def ssqp_skip_run(
 
 # ---------------------------------------------------------------------------
 # VARAS
+
+
+def varas_step(
+    x_prev: np.ndarray,
+    z_prev: np.ndarray,
+    y: np.ndarray,
+    n_tilde: np.ndarray,
+    sample: SfoSample,
+    warm: Optional[QpSolution],
+    counters: Optional[OracleCounters],
+    constants: tuple,
+) -> tuple[np.ndarray, QpSolution]:
+    """One VARAS inner update from (x_{t-1}, z_{t-1}) at y_t; returns (x_t, QMO answer).
+
+    z_t, the answer's ``u``, minimizes alpha*beta*(<n~, u> + (mu/2)||y - u||^2
+    + h(u)) + (alpha/2)||z_prev - u||^2 + gamma*beta*max-hinge of the
+    constraint linearizations evaluated against z_plus = (z_prev + mu*beta*y)
+    / (1 + mu*beta) with slope alpha*grad g_k; it is solved in canonical form
+    with one QMO call.  Then x_t = (1 - alpha - omega)*x_prev + alpha*z_t
+    + omega*snapshot.  ``constants`` are the epoch's (alpha, mu*beta,
+    1 + mu*beta, alpha*beta, alpha*beta*mu, the QP weight alpha*beta*mu + alpha,
+    h scaled by alpha*beta, gamma*beta, 1 - alpha - omega, omega*snapshot).
+    """
+    alpha, mb, one_mb, ab, abm, rho, regularizer, hinge_weight, x_prev_coef, x_snap_term = constants
+    z_plus = (z_prev + mb * y) / one_mb
+    cgrads = sample.constraint_gradients
+    qp = CanonicalQp(
+        rho=rho,
+        anchor=(abm * y + alpha * z_prev) / rho,
+        linear=ab * n_tilde,
+        regularizer=regularizer,
+        hinge_weight=hinge_weight,
+        offsets=sample.constraint_values - alpha * (cgrads @ z_plus),
+        slopes=alpha * cgrads,
+    )
+    answer = _solve_qmo(qp, warm, counters)
+    return x_prev_coef * x_prev + alpha * answer.u + x_snap_term, answer
 
 
 def varas_run(
@@ -424,12 +446,8 @@ def varas_run(
     table.  Each inner iteration makes one SFO query at y for the drawn index
     i; the variance-reduced gradient n~ = grad f_i(y) - grad f_i(x~) + grad f(x~)
     reads grad f_i(x~) from the table, so an inner step evaluates one
-    component.  A trace row is emitted per epoch at the new snapshot.
-
-    The z-update minimizes alpha*beta*(<n~, u> + (mu/2)||y - u||^2 + h(u))
-    + (alpha/2)||z_prev - u||^2 + gamma*beta*max-hinge of the constraint
-    linearizations evaluated against z_plus with slope alpha*grad g_k; it is
-    solved in canonical form.
+    component.  ``varas_step`` then makes the update.  A trace row is emitted
+    per epoch at the new snapshot.
     """
     schedule = config.schedule
     if not isinstance(schedule, VARAS_SCHEDULES):
@@ -439,12 +457,11 @@ def varas_run(
     run = _Run(problem, config, config.epochs)
     counters = run.counters
     mu = schedule.mu
-    gamma = config.gamma
 
     snapshot = config.x0.copy()
     z = config.x0.copy()
     run.checkpoint(0, snapshot)
-    last_qp: Optional[QpSolution] = None
+    answer: Optional[QpSolution] = None
     for s in range(1, config.epochs + 1):
         snap_grad, snap_table = full_gradient(problem, snapshot, counters)
         alpha, beta, omega, t_s = schedule.epoch_params(s)
@@ -455,50 +472,23 @@ def varas_run(
         y_prev_coef = one_mb * (1 - alpha - omega)
         y_snap_term = one_mb * omega * snapshot
         y_denom = 1 + mb * (1 - alpha)
-        x_prev_coef = 1 - alpha - omega
-        x_snap_term = omega * snapshot
         ab = alpha * beta
         abm = ab * mu
-        rho = abm + alpha
-        regularizer = problem.regularizer.scaled(ab)
-        hinge_weight = gamma * beta
-        x_prev = snapshot.copy()
-        x_mix = np.zeros_like(x_prev)
-        az = alpha * z  # y, the QP anchor and x_new each read alpha * z; formed once per z
+        constants = (
+            alpha, mb, one_mb, ab, abm, abm + alpha, problem.regularizer.scaled(ab),
+            config.gamma * beta, 1 - alpha - omega, omega * snapshot,
+        )
+        x = snapshot.copy()
+        x_mix = np.zeros_like(x)
         for t in range(1, t_s + 1):
-            y = (y_prev_coef * x_prev + az + y_snap_term) / y_denom
-            z_plus = (z + mb * y) / one_mb
+            y = (y_prev_coef * x + alpha * z + y_snap_term) / y_denom
             idx = run.batch(1)
             sample = sfo_query(problem, y, idx, counters)
             n_tilde = sample.stochastic_gradient - snap_table[idx[0]] + snap_grad
-            cgrads = sample.constraint_gradients
-            qp = CanonicalQp(
-                rho=rho,
-                anchor=(abm * y + az) / rho,
-                linear=ab * n_tilde,
-                regularizer=regularizer,
-                hinge_weight=hinge_weight,
-                offsets=sample.constraint_values - alpha * (cgrads @ z_plus),
-                slopes=alpha * cgrads,
-            )
-            last_qp = _solve_qmo(qp, config.qp_tol, last_qp, counters)
-            z_new = last_qp.u
-            az = alpha * z_new
-            x_new = x_prev_coef * x_prev + az + x_snap_term
-            x_mix = x_mix + weights[t - 1] * x_new
-            if config.record_steps:
-                run.trace.steps.append(
-                    {
-                        "s": s, "t": t, "index": int(idx[0]), "y": y,
-                        "z_prev": z.copy(), "z_plus": z_plus, "z": z_new.copy(),
-                        "x_prev": x_prev.copy(), "x": x_new.copy(),
-                        "n_tilde": n_tilde, "alpha": alpha, "beta": beta, "omega": omega,
-                    }
-                )
-            x_prev = x_new
-            z = z_new
-            run.guard(x_new, "varas epoch {} inner {}", s, t)
+            x, answer = varas_step(x, z, y, n_tilde, sample, answer, counters, constants)
+            z = answer.u
+            x_mix = x_mix + weights[t - 1] * x
+            run.guard(x, "varas epoch {} inner {}", s, t)
         snapshot = x_mix
         run.checkpoint(s, snapshot)
     return snapshot, run.trace, counters
-

@@ -8,6 +8,7 @@ log-log / log-linear rate slopes over the final decade of a trace.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import os
@@ -67,7 +68,13 @@ _ALGORITHMS = {
 }
 # schedule kind -> class
 _SCHEDULES = {cls.kind: cls for *_, accepted in _ALGORITHMS.values() for cls in accepted}
-_PROBLEMS = ("usv", "regression", "regression-file", "quadratic")
+# problem kind -> its instance factory, looked up in this module when a problem is built
+_PROBLEMS = {
+    "usv": "make_usv_problem",
+    "regression": "generate_regression_problem",
+    "regression-file": "load_regression_csv",
+    "quadratic": "random_quadratic_problem",
+}
 # trace columns that calls_to_threshold and slope_fit accept as ``metric``
 _METRICS = ("dist_sq", "gap", "rel_gap", "max_viol", "sum_viol")
 
@@ -113,8 +120,9 @@ class BenchConfig:
     def validate(self) -> None:
         if self.algorithm not in _ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {tuple(_ALGORITHMS)}")
-        if not isinstance(self.problem, dict) or self.problem.get("kind") not in _PROBLEMS:
-            raise ConfigError(f"problem.kind must be one of {_PROBLEMS}")
+        kinds = tuple(_PROBLEMS)  # matched by equality, so an unhashable kind is a config error too
+        if not isinstance(self.problem, dict) or self.problem.get("kind") not in kinds:
+            raise ConfigError(f"problem.kind must be one of {kinds}")
         if not isinstance(self.gamma, (int, float)) or not self.gamma > 0:
             raise ConfigError("gamma must be a positive number")
         if not self.seeds or not all(isinstance(s, int) for s in self.seeds):
@@ -188,23 +196,24 @@ def read_trace(path: str | Path) -> list[TraceRow]:
 
 
 def build_problem(config: BenchConfig) -> tuple[ConstrainedProblem, np.ndarray]:
-    """Instantiate the configured problem; returns (problem, default x0)."""
+    """Instantiate the configured problem; returns (problem, default x0).
+
+    A key that the kind's factory does not take is a ``ConfigError``.
+    """
     spec = dict(config.problem)
     kind = spec.pop("kind")
-    seed = spec.pop("seed", 0)
-    if kind == "usv":
-        problem, usv = make_usv_problem(seed=seed, **spec)
-        return problem, straight_line_path(usv)
-    if kind == "regression":
-        problem, _ = generate_regression_problem(seed=seed, **spec)
-        return problem, np.zeros(problem.dim)
-    if kind == "regression-file":
-        problem, _ = load_regression_csv(seed=seed, **spec)
-        return problem, np.zeros(problem.dim)
+    if kind not in _PROBLEMS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    factory = globals()[_PROBLEMS[kind]]
+    unknown = set(spec) - set(inspect.signature(factory).parameters)
+    if unknown:
+        raise ConfigError(f"unknown {kind} problem keys: {sorted(unknown)}")
+    spec.setdefault("seed", 0)
     if kind == "quadratic":
-        problem = random_quadratic_problem(seed=seed, **spec)
+        problem = factory(**spec)
         return problem, np.zeros(problem.dim)
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    problem, instance = factory(**spec)
+    return problem, straight_line_path(instance) if kind == "usv" else np.zeros(problem.dim)
 
 
 def build_schedule(config: BenchConfig, problem: ConstrainedProblem):

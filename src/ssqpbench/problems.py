@@ -473,7 +473,6 @@ def brute_force_optimum(
     x0: Optional[np.ndarray] = None,
     tol: float = 1e-10,
     max_iters: int = 200_000,
-    eta: Optional[float] = None,
 ) -> tuple[np.ndarray, float]:
     """High-accuracy reference minimizer of the exact-penalty objective.
 
@@ -486,14 +485,14 @@ def brute_force_optimum(
     budget runs out first.
     """
     x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
-    step = eta if eta is not None else 1.0 / problem.smoothness
+    step = 1.0 / problem.smoothness
     f_cur = penalty_objective(problem, gamma, x)
     warm = None
 
     def prox_linear(point, gradient, offsets, slopes, stepsize, warm_sol):
         # at large 1/stepsize the stationarity residual floor is set by
         # rho * eps-level cancellation in u - w, so relax the target with rho
-        qp_tol = min(1e-4, max(min(1e-11, tol * 1e-2), 1e-14 / stepsize))
+        solve_tol = min(1e-4, max(min(1e-11, tol * 1e-2), 1e-14 / stepsize))
         qp = CanonicalQp(
             rho=1.0 / stepsize,
             anchor=point,
@@ -503,7 +502,7 @@ def brute_force_optimum(
             offsets=offsets,
             slopes=slopes,
         )
-        return solve_canonical_qp(qp, tol=qp_tol, warm=warm_sol)
+        return solve_canonical_qp(qp, tol=solve_tol, warm=warm_sol)
 
     converged = False
     stalls = 0

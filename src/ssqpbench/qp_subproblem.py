@@ -140,7 +140,7 @@ def _primal_from_dual(qp: CanonicalQp, mu: np.ndarray) -> np.ndarray:
 # KKT residual
 
 
-def kkt_residual(qp: CanonicalQp, sol: QpSolution, activity_tol: float = 1e-9) -> float:
+def kkt_residual(qp: CanonicalQp, sol: QpSolution) -> float:
     """Worst violation of the epigraph-QP KKT system at (u, v, mu, dual_v).
 
     Every term is computed from scratch, whatever the solver knows about the
@@ -152,7 +152,7 @@ def kkt_residual(qp: CanonicalQp, sol: QpSolution, activity_tol: float = 1e-9) -
     s = qp.rho * (u - qp.anchor) + qp.linear
     if r.size:
         s = s + qp.slopes.T @ mu
-    stat_u = _stationarity(qp, u, s, activity_tol)
+    stat_u = _stationarity(qp, u, s)
     stat_v = abs(qp.hinge_weight - np.add.reduce(mu) - dual_v)
     neg_duals = max(float(np.maximum.reduce(np.maximum(-mu, 0.0), initial=0.0)), max(0.0, -dual_v))
     slack = r - v
@@ -163,17 +163,18 @@ def kkt_residual(qp: CanonicalQp, sol: QpSolution, activity_tol: float = 1e-9) -
     return max(stat_u, stat_v, neg_duals, primal, comp)
 
 
-def _stationarity(qp: CanonicalQp, u: np.ndarray, s: np.ndarray, activity_tol: float = 1e-9) -> float:
+def _stationarity(qp: CanonicalQp, u: np.ndarray, s: np.ndarray) -> float:
     """Stationarity term of the KKT residual: how far s = rho*(u - w) + l + A^T mu
     is from -(the regularizer's subdifferential at u), plus, for a Box, how far u
-    is outside it."""
+    is outside it.  A coordinate within 1e-9 of a face (scaled by 1 + |u| for a
+    Box) counts as on it."""
     reg = qp.regularizer
     if isinstance(reg, Zero):
         return math.sqrt(s @ s)  # np.linalg.norm(s), bit for bit
     if isinstance(reg, BoxIndicator):
         scale = 1.0 + np.abs(u)
-        at_lo = u <= reg.lower + activity_tol * scale
-        at_hi = u >= reg.upper - activity_tol * scale
+        at_lo = u <= reg.lower + 1e-9 * scale
+        at_hi = u >= reg.upper - 1e-9 * scale
         res = np.abs(s)
         res = np.where(at_lo, np.maximum(0.0, -s), res)
         res = np.where(at_hi & ~at_lo, np.maximum(0.0, s), res)
@@ -182,7 +183,7 @@ def _stationarity(qp: CanonicalQp, u: np.ndarray, s: np.ndarray, activity_tol: f
         return float(np.linalg.norm(res) + np.maximum.reduce(dom, initial=0.0))
     if isinstance(reg, L1):
         lam = reg.weight
-        at_zero = np.abs(u) <= activity_tol
+        at_zero = np.abs(u) <= 1e-9
         res = np.abs(s + lam * np.sign(u))
         res = np.where(at_zero, np.maximum(np.abs(s) - lam, 0.0), res)
         return float(np.linalg.norm(res))

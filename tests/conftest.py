@@ -44,6 +44,54 @@ def refreshed_y(monkeypatch):
     monkeypatch.setattr(algorithms, "ssqp_skip_step", refreshed)
 
 
+@pytest.fixture
+def recorded_steps(monkeypatch):
+    """What every SSQP and VARAS step of the test's runs receives and returns.
+
+    The loops call ``ssqp_step``, ``varas_step``, ``sfo_query`` and
+    ``full_gradient`` through the ``algorithms`` module globals, so wrapping
+    those sees every step.  ``"ssqp"`` records hold ``x_t``, ``x_next``,
+    ``eta`` and ``sample``.  ``"varas"`` records hold the inner step ``t``
+    (counted from 1 after each full gradient pass), the drawn ``index``,
+    ``y``, ``x_prev``, ``z`` (z_t), ``z_plus``, ``x`` (x_t), ``n_tilde`` and
+    ``alpha``.
+    """
+    records = {"ssqp": [], "varas": []}
+    since_pass = {"t": 0, "index": None}
+    ssqp_step, varas_step = algorithms.ssqp_step, algorithms.varas_step
+    sfo_query, full_gradient = algorithms.sfo_query, algorithms.full_gradient
+
+    def recording_ssqp(state, sample, eta, *args, **kwargs):
+        new = ssqp_step(state, sample, eta, *args, **kwargs)
+        records["ssqp"].append({"x_t": state.x, "x_next": new.x, "eta": eta, "sample": sample})
+        return new
+
+    def recording_varas(x_prev, z_prev, y, n_tilde, sample, warm, counters, constants):
+        x, answer = varas_step(x_prev, z_prev, y, n_tilde, sample, warm, counters, constants)
+        alpha, mb, one_mb = constants[:3]
+        since_pass["t"] += 1
+        records["varas"].append({
+            "t": since_pass["t"], "index": since_pass["index"], "y": y, "x_prev": x_prev,
+            "z": answer.u, "z_plus": (z_prev + mb * y) / one_mb, "x": x,
+            "n_tilde": n_tilde, "alpha": alpha,
+        })
+        return x, answer
+
+    def recording_query(problem, x, batch, *args, **kwargs):
+        since_pass["index"] = int(batch[0])
+        return sfo_query(problem, x, batch, *args, **kwargs)
+
+    def recording_pass(*args, **kwargs):
+        since_pass["t"] = 0
+        return full_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(algorithms, "ssqp_step", recording_ssqp)
+    monkeypatch.setattr(algorithms, "varas_step", recording_varas)
+    monkeypatch.setattr(algorithms, "sfo_query", recording_query)
+    monkeypatch.setattr(algorithms, "full_gradient", recording_pass)
+    return records
+
+
 def _record_qmo_calls(config: BenchConfig, out_dir) -> list:
     """Every ``(qp, tol, warm)`` the run passes to ``solve_canonical_qp``.
 

@@ -397,21 +397,19 @@ class TestAcceptance:
         assert -2.6 <= exponent <= -1.4
         assert elapsed < 300.0
 
-    def test_criterion_6_varas_unbiasedness_and_identity(self):
+    def test_criterion_6_varas_unbiasedness_and_identity(self, recorded_steps):
         problem = random_quadratic_problem(seed=9, dim=4, n=16)
         schedule = VarasSchedule(
             n=16, mu=problem.strong_convexity, smoothness_gamma=problem.smoothness
         )
-        config = RunConfig(
-            gamma=2.0, schedule=schedule, x0=np.zeros(4), epochs=10,
-            record_steps=True, seed=5,
-        )
-        _, trace, _ = varas_run(problem, config)
+        config = RunConfig(gamma=2.0, schedule=schedule, x0=np.zeros(4), epochs=10, seed=5)
+        varas_run(problem, config)
+        steps = recorded_steps["varas"]
 
         # at t = 1 the recorded x_prev is the epoch snapshot, so the
         # variance-reduced estimate can be reconstructed exactly and its
         # exhaustive-index mean collapses to the full gradient at y
-        first_steps = [rec for rec in trace.steps if rec["t"] == 1]
+        first_steps = [rec for rec in steps if rec["t"] == 1]
         assert first_steps
         max_bias = 0.0
         for rec in first_steps:
@@ -435,7 +433,7 @@ class TestAcceptance:
             )
 
         max_gap = 0.0
-        for rec in trace.steps:
+        for rec in steps:
             lhs = rec["x"] - rec["y"]
             rhs = rec["alpha"] * (rec["z"] - rec["z_plus"])
             max_gap = max(max_gap, float(np.max(np.abs(lhs - rhs))))
@@ -445,12 +443,12 @@ class TestAcceptance:
             6,
             ok,
             f"max unbiasedness defect={max_bias:.1e}, "
-            f"max state-identity defect={max_gap:.1e} over {len(trace.steps)} steps",
+            f"max state-identity defect={max_gap:.1e} over {len(steps)} steps",
         )
         assert max_bias <= 1e-12
         assert max_gap <= 1e-10
 
-    def test_criterion_7_one_step_inequality_audit(self):
+    def test_criterion_7_one_step_inequality_audit(self, recorded_steps):
         total_steps = 0
         violations = 0
         for seed in range(5):
@@ -459,11 +457,13 @@ class TestAcceptance:
             x_star, _ = solve_kkt_quadratic(q, c, a, b)
             config = RunConfig(
                 gamma=30.0, schedule=TunedConstantSchedule(eta=0.05),
-                x0=np.zeros(3), horizon=100, seed=seed, record_steps=True,
+                x0=np.zeros(3), horizon=100, seed=seed,
             )
-            _, _, trace, _ = ssqp_run(problem, config)
-            total_steps += len(trace.steps)
-            violations += three_point_audit(problem, 30.0, x_star, trace, slack=1e-8)
+            ssqp_run(problem, config)
+            steps = recorded_steps["ssqp"]
+            total_steps += len(steps)
+            violations += three_point_audit(problem, 30.0, x_star, steps, slack=1e-8)
+            steps.clear()
         ok = violations == 0 and total_steps == 500
         _report(7, ok, f"{violations} violations across {total_steps} recorded steps")
         assert total_steps == 500
@@ -550,21 +550,20 @@ class TestAcceptance:
         assert meta_identical
         assert round_trip
 
-    def test_criterion_10_reductions(self, refreshed_y):
+    def test_criterion_10_reductions(self, refreshed_y, recorded_steps):
         # (a) m = 0: SSQP is seeded SGD step for step
         problem = random_quadratic_problem(seed=4, dim=4, n=10, m=0)
         horizon = 200
         config = RunConfig(
             gamma=1.0, schedule=TunedConstantSchedule(eta=0.05),
-            x0=np.zeros(4), horizon=horizon, seed=7, record_steps=True,
-            qp_tol=1e-12,
+            x0=np.zeros(4), horizon=horizon, seed=7,
         )
-        _, x_ssqp, trace, _ = ssqp_run(problem, config)
+        _, x_ssqp, _, _ = ssqp_run(problem, config)
         # the run's batch stream is child 0 of SeedSequence(seed).spawn(2)
         rng = np.random.default_rng(np.random.SeedSequence(7).spawn(2)[0])
         x = np.zeros(4)
         sgd_defect = 0.0
-        for rec in trace.steps:
+        for rec in recorded_steps["ssqp"]:
             batch = rng.integers(0, problem.n_components, size=1)
             grad = sfo_query(problem, x, batch).stochastic_gradient
             x = x - 0.05 * grad
@@ -599,14 +598,11 @@ class TestAcceptance:
         sched_c = VarasSchedule(
             n=1, mu=problem_c.strong_convexity, smoothness_gamma=problem_c.smoothness
         )
-        cfg_c = RunConfig(
-            gamma=1.0, schedule=sched_c, x0=np.zeros(3), epochs=6,
-            record_steps=True, seed=2,
-        )
-        _, trace_c, _ = varas_run(problem_c, cfg_c)
+        cfg_c = RunConfig(gamma=1.0, schedule=sched_c, x0=np.zeros(3), epochs=6, seed=2)
+        varas_run(problem_c, cfg_c)
         varas_defect = max(
             float(np.max(np.abs(rec["n_tilde"] - full_gradient(problem_c, rec["y"])[0])))
-            for rec in trace_c.steps
+            for rec in recorded_steps["varas"]
         )
 
         ok = sgd_defect <= 1e-10 and skip_defect <= 1e-10 and varas_defect <= 1e-12

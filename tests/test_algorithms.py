@@ -20,12 +20,14 @@ from ssqpbench import (
     VarasSchedule,
     Zero,
     dense_oracle_qp,
+    full_gradient,
     primal_dual_run,
     sfo_query,
     ssqp_run,
     ssqp_skip_run,
     ssqp_step,
     varas_run,
+    varas_step,
 )
 from ssqpbench.algorithms import _CHUNK, _Run
 from ssqpbench.problems import random_quadratic_problem
@@ -129,7 +131,7 @@ class TestSsqpRun:
         problem = random_quadratic_problem(seed=1, dim=3, n=8, m=0)
         config = RunConfig(
             gamma=1.0, schedule=TunedConstantSchedule(eta=0.05),
-            x0=np.zeros(3), horizon=200, seed=7, qp_tol=1e-12,
+            x0=np.zeros(3), horizon=200, seed=7,
         )
         _, last, _, _ = ssqp_run(problem, config)
 
@@ -169,7 +171,6 @@ class TestSsqpRun:
         )
         with pytest.raises(DivergenceError) as err:
             ssqp_run(problem, config)
-        assert err.value.trace.diverged
         assert str(err.value) == "iterate norm exceeded 1e+12 during ssqp iteration 11"
 
     def test_guard_formats_its_message_only_when_it_raises(self):
@@ -184,10 +185,10 @@ class TestSsqpRun:
         run = _Run(toy_problem(), config, 1)
         for t in range(100):
             run.guard(np.ones(1), Where("step {} of {}"), t, 100)
-        assert formatted == [] and not run.trace.diverged
+        assert formatted == []
         with pytest.raises(DivergenceError, match="^iterate norm exceeded 1e\\+12 during step 7 of 100$"):
             run.guard(np.full(1, 2e12), Where("step {} of {}"), 7, 100)
-        assert formatted == [(7, 100)] and run.trace.diverged
+        assert formatted == [(7, 100)]
 
     def test_convex_schedule_reports_averaged_iterate(self):
         problem = toy_problem()
@@ -303,7 +304,7 @@ class TestVaras:
         snapshot, _, _ = varas_run(problem, config)
         np.testing.assert_allclose(snapshot, [1.0, 3.0], atol=1e-6)
 
-    def test_single_component_gradient_is_exact(self):
+    def test_single_component_gradient_is_exact(self, recorded_steps):
         # n = 1: the variance-reduced estimate collapses to the full gradient
         def component_block(x, idx):
             return np.full(len(idx), 0.5 * x @ x), np.tile(x, (len(idx), 1))
@@ -313,22 +314,20 @@ class TestVaras:
             smoothness=1.0, constraint_smoothness=0.0, strong_convexity=1.0,
         )
         sched = VarasSchedule(n=1, mu=1.0, smoothness_gamma=1.0)
-        config = RunConfig(gamma=1.0, schedule=sched, x0=np.ones(2), epochs=5,
-                           record_steps=True)
-        _, trace, _ = varas_run(problem, config)
-        for rec in trace.steps:
+        config = RunConfig(gamma=1.0, schedule=sched, x0=np.ones(2), epochs=5)
+        varas_run(problem, config)
+        for rec in recorded_steps["varas"]:
             np.testing.assert_allclose(rec["n_tilde"], rec["y"], atol=1e-14)
 
-    def test_exhaustive_index_unbiasedness(self):
+    def test_exhaustive_index_unbiasedness(self, recorded_steps):
         from ssqpbench import full_gradient
 
         problem = random_quadratic_problem(seed=8, dim=3, n=12)
         sched = VarasSchedule(n=12, mu=problem.strong_convexity,
                               smoothness_gamma=problem.smoothness)
-        config = RunConfig(gamma=1.0, schedule=sched, x0=np.zeros(3), epochs=4,
-                           record_steps=True, seed=3)
-        _, trace, _ = varas_run(problem, config)
-        first_steps = [rec for rec in trace.steps if rec["t"] == 1]
+        config = RunConfig(gamma=1.0, schedule=sched, x0=np.zeros(3), epochs=4, seed=3)
+        varas_run(problem, config)
+        first_steps = [rec for rec in recorded_steps["varas"] if rec["t"] == 1]
         assert first_steps
         for rec in first_steps:
             # at t = 1 the recorded x_prev is the epoch snapshot, so the
@@ -347,15 +346,14 @@ class TestVaras:
             )
             np.testing.assert_allclose(mean, full_gradient(problem, y)[0], rtol=1e-12, atol=1e-12)
 
-    def test_state_identity_x_minus_y(self):
+    def test_state_identity_x_minus_y(self, recorded_steps):
         # x_t - y_t = alpha (z_t - z_plus) at every inner step
         problem = random_quadratic_problem(seed=9, dim=4, n=16)
         sched = VarasSchedule(n=16, mu=problem.strong_convexity,
                               smoothness_gamma=problem.smoothness)
-        config = RunConfig(gamma=2.0, schedule=sched, x0=np.zeros(4), epochs=8,
-                           record_steps=True, seed=5)
-        _, trace, _ = varas_run(problem, config)
-        for rec in trace.steps:
+        config = RunConfig(gamma=2.0, schedule=sched, x0=np.zeros(4), epochs=8, seed=5)
+        varas_run(problem, config)
+        for rec in recorded_steps["varas"]:
             lhs = rec["x"] - rec["y"]
             rhs = rec["alpha"] * (rec["z"] - rec["z_plus"])
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -371,6 +369,30 @@ class TestVaras:
         assert counters.sfo_calls == epochs * 10 + inner
         assert counters.qmo_calls == inner
         assert counters.full_gradient_passes == epochs
+
+    def test_step_alone(self):
+        # one inner step built by hand from an epoch-1 schedule and random states
+        problem = random_quadratic_problem(seed=9, dim=4, n=16)
+        mu, gamma = problem.strong_convexity, 2.0
+        sched = VarasSchedule(n=16, mu=mu, smoothness_gamma=problem.smoothness)
+        alpha, beta, omega, _ = sched.epoch_params(1)
+        snapshot, x_prev, z_prev = np.random.default_rng(3).standard_normal((3, 4))
+        mb, ab = mu * beta, alpha * beta
+        y = ((1 + mb) * (1 - alpha - omega) * x_prev + alpha * z_prev
+             + (1 + mb) * omega * snapshot) / (1 + mb * (1 - alpha))
+        snap_grad, snap_table = full_gradient(problem, snapshot)
+        sample = sfo_query(problem, y, np.array([5]))
+        n_tilde = sample.stochastic_gradient - snap_table[5] + snap_grad
+        constants = (alpha, mb, 1 + mb, ab, ab * mu, ab * mu + alpha, problem.regularizer.scaled(ab),
+                     gamma * beta, 1 - alpha - omega, omega * snapshot)
+        counters = OracleCounters()
+        x, answer = varas_step(x_prev, z_prev, y, n_tilde, sample, None, counters, constants)
+        # x_t - y_t = alpha (z_t - z_plus)
+        z_plus = (z_prev + mb * y) / (1 + mb)
+        np.testing.assert_allclose(x - y, alpha * (answer.u - z_plus), atol=1e-10)
+        # one QMO charge, and a certified answer leaves qmo_nonconverged alone
+        assert answer.converged
+        assert counters == OracleCounters(qmo_calls=1)
 
     def test_one_component_evaluation_per_inner_step(self):
         # each epoch makes one n-index call (the full pass), then one one-index
@@ -507,43 +529,56 @@ class TestRunStreams:
             run.batch(2)[0] = 0
 
 
+class TestRecordedSteps:
+    def test_fixture_sees_every_step(self, recorded_steps):
+        # a loop that bound its step function locally would leave the audits
+        # that read these records empty instead of failing
+        problem = random_quadratic_problem(seed=10, dim=3, n=10)
+        sched = VarasSchedule(n=10, mu=problem.strong_convexity, smoothness_gamma=problem.smoothness)
+        varas_run(problem, RunConfig(gamma=1.0, schedule=sched, x0=np.zeros(3), epochs=6))
+        ssqp_run(problem, RunConfig(gamma=1.0, schedule=TunedConstantSchedule(eta=0.05),
+                                    x0=np.zeros(3), horizon=40))
+        lengths = [sched.epoch_length(s) for s in range(1, 7)]
+        assert len(recorded_steps["varas"]) == sum(lengths)
+        assert [rec["t"] for rec in recorded_steps["varas"]] == [t for t_s in lengths for t in range(1, t_s + 1)]
+        assert len(recorded_steps["ssqp"]) == 40
+
+
 class TestThreePointAudit:
-    def run_recorded(self, problem, gamma, horizon=100, eta=0.05, seed=0):
+    def run_recorded(self, recorded_steps, problem, gamma, horizon=100, eta=0.05, seed=0):
         config = RunConfig(
             gamma=gamma, schedule=TunedConstantSchedule(eta=eta), x0=np.zeros(problem.dim),
-            horizon=horizon, seed=seed, record_steps=True,
+            horizon=horizon, seed=seed,
         )
-        _, _, trace, _ = ssqp_run(problem, config)
-        return trace
+        ssqp_run(problem, config)
+        return recorded_steps["ssqp"]
 
-    def test_unconstrained_run_clean(self):
+    def test_unconstrained_run_clean(self, recorded_steps):
         problem = random_quadratic_problem(seed=11, dim=3, n=8, m=0)
         x_star, _ = _mean_quadratic_optimum(problem)
-        trace = self.run_recorded(problem, gamma=1.0)
-        assert three_point_audit(problem, 1.0, x_star, trace) == 0
+        steps = self.run_recorded(recorded_steps, problem, gamma=1.0)
+        assert three_point_audit(problem, 1.0, x_star, steps) == 0
 
-    def test_constrained_toy_clean(self):
+    def test_constrained_toy_clean(self, recorded_steps):
         problem = random_quadratic_problem(seed=12, dim=3, n=8, m=2)
         q, c, a, b = _quadratic_data(problem)
         x_star, _ = solve_kkt_quadratic(q, c, a, b)
-        trace = self.run_recorded(problem, gamma=20.0)
-        assert three_point_audit(problem, 20.0, x_star, trace) == 0
+        steps = self.run_recorded(recorded_steps, problem, gamma=20.0)
+        assert three_point_audit(problem, 20.0, x_star, steps) == 0
 
-    def test_corrupted_step_detected(self):
+    def test_corrupted_step_detected(self, recorded_steps):
         problem = random_quadratic_problem(seed=12, dim=3, n=8, m=2)
         q, c, a, b = _quadratic_data(problem)
         x_star, _ = solve_kkt_quadratic(q, c, a, b)
-        trace = self.run_recorded(problem, gamma=20.0)
-        trace.steps[10]["x_next"] = trace.steps[10]["x_next"] + 0.1
-        assert three_point_audit(problem, 20.0, x_star, trace) > 0
+        steps = self.run_recorded(recorded_steps, problem, gamma=20.0)
+        steps[10]["x_next"] = steps[10]["x_next"] + 0.1
+        assert three_point_audit(problem, 20.0, x_star, steps) > 0
 
     def test_requires_recorded_steps(self):
+        # a run outside the recorded_steps fixture leaves no records
         problem = random_quadratic_problem(seed=13, dim=2, n=4, m=0)
-        config = RunConfig(gamma=1.0, schedule=TunedConstantSchedule(0.05),
-                           x0=np.zeros(2), horizon=5)
-        _, _, trace, _ = ssqp_run(problem, config)
         with pytest.raises(ValueError):
-            three_point_audit(problem, 1.0, np.zeros(2), trace)
+            three_point_audit(problem, 1.0, np.zeros(2), [])
 
 
 def _component_grad(problem, i, x):

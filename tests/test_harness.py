@@ -154,6 +154,21 @@ class TestRunTables:
         with pytest.raises(ConfigError, match="unknown schedule kind"):
             build_schedule(cfg, problem)
 
+    def test_run_config_gets_every_field_from_the_harness(self, tmp_path, monkeypatch):
+        # a RunConfig field that only tests set would be missing from what the harness passes
+        import ssqpbench.harness
+
+        passed = set()
+
+        def recording(**kwargs):
+            passed.update(kwargs)
+            return RunConfig(**kwargs)
+
+        monkeypatch.setattr(ssqpbench.harness, "RunConfig", recording)
+        run_experiment(BenchConfig.from_dict(quadratic_config()), output_dir=tmp_path / "horizon")
+        run_experiment(BenchConfig.from_dict(varas_quadratic_config()), output_dir=tmp_path / "epochs")
+        assert passed == {f.name for f in dataclasses.fields(RunConfig)}
+
     def test_schedule_the_algorithm_cannot_run_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = {"problem": {"kind": "quadratic", "seed": 0}, "algorithm": "ssqp",
@@ -421,6 +436,26 @@ class TestCli:
         path.write_text(json.dumps({"algorithm": "nope"}))
         assert cli_main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "reference"])
+    def test_unknown_problem_key_is_a_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        doc = {"problem": {"kind": "quadratic", "seed": 0, "bogus": 1}, "algorithm": "ssqp",
+               "schedule": {"kind": "tuned_constant", "eta": 0.05}, "gamma": 5.0, "seeds": [0],
+               "horizon": 20, "output_dir": str(out)}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main([command, str(path)]) == 2
+        assert not out.exists()
+        # an older run's manifest is neither touched nor named
+        out.mkdir()
+        (out / "metadata.json").write_text("{}\n")
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error: unknown quadratic problem keys: ['bogus']") == 2
+        assert "run failed part-way" not in err
+        assert [p.name for p in out.iterdir()] == ["metadata.json"]
+        assert (out / "metadata.json").read_text() == "{}\n"
+
     def test_unreadable_config_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
 
@@ -678,10 +713,10 @@ def varas_quadratic_config(**overrides):
     return doc
 
 
-def nan_once_quadratic(**spec):
+def nan_once_quadratic(seed, dim, n, m):
     """The quadratic factory's instance, except that its first one-index block
     call returns a NaN gradient (n-index full passes stay finite)."""
-    problem = random_quadratic_problem(**spec)
+    problem = random_quadratic_problem(seed=seed, dim=dim, n=n, m=m)
     block = problem.component_block
     pending = [True]
 
