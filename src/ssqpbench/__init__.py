@@ -9,7 +9,6 @@ from .problem_model import (
     NonFiniteEvaluationError,
     OracleCounters,
     SfoSample,
-    StreamingUnsupportedError,
     Zero,
     full_gradient,
     sfo_query,

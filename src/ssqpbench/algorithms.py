@@ -4,7 +4,8 @@ Each loop consumes a ConstrainedProblem through the oracle helpers, builds a
 CanonicalQp per prox-linear step, and emits RunTrace checkpoints with SFO/QMO
 counts and optimality metrics.  Every loop, the primal-dual baseline included,
 runs on one ``_Run``: it owns the counters, the random streams, the divergence
-guard and the checkpoint rule.  Checkpoint metric evaluation is pure
+guard, the schedule check, the run's length and the checkpoint rule, and its
+``steps`` generator is the loop.  Checkpoint metric evaluation is pure
 instrumentation and is never charged to the counters.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .problem_model import (
     ConstrainedProblem,
     OracleCounters,
     SfoSample,
-    StreamingUnsupportedError,
     full_gradient,
     sfo_query,
 )
@@ -135,26 +135,27 @@ class RunConfig:
 
 
 class _Run:
-    """One solver run: counters, random streams, divergence guard and checkpoints.
+    """One solver run: counters, random streams, divergence guard, schedule check and checkpoints.
 
-    ``length`` is the number of steps (iterations, or epochs for VARAS).  Batch
-    indices come from child 0 of ``SeedSequence(config.seed).spawn(2)`` and
-    coin flips from child 1.  Both streams are drawn ``_CHUNK`` values at a
-    time and served in order: a bulk draw yields the same values as the
-    per-call draws it replaces.  Checkpoint metrics are instrumentation only
-    and never touch the counters.
+    ``config.schedule`` must be an instance of one of ``schedules``, else
+    ``TypeError``.  The run takes ``config.horizon`` steps, or ``config.epochs``
+    for VARAS (one step per epoch).  Batch indices come from child 0 of
+    ``SeedSequence(config.seed).spawn(2)`` and coin flips from child 1.  Both
+    streams are drawn ``_CHUNK`` values at a time and served in order: a bulk
+    draw yields the same values as the per-call draws it replaces.  Checkpoint
+    metrics are instrumentation only and never touch the counters.
     """
 
-    def __init__(self, problem: ConstrainedProblem, config: RunConfig, length: int):
+    def __init__(self, problem: ConstrainedProblem, config: RunConfig, schedules: tuple):
+        if not isinstance(config.schedule, schedules):
+            raise TypeError(f"this loop needs one of {[cls.__name__ for cls in schedules]}")
         self.problem = problem
         self.config = config
-        self.length = length
         self.counters = OracleCounters()
         self.trace = RunTrace()
         batch_seed, coin_seed = np.random.SeedSequence(config.seed).spawn(2)
         self._batch_rng = np.random.default_rng(batch_seed)
         self._coin_rng = np.random.default_rng(coin_seed)
-        self._high = np.iinfo(np.int64).max if problem.is_streaming else problem.n_components
         self._indices = np.empty(0, dtype=np.int64)
         self._index_pos = 0
         self._coins: list[float] = []
@@ -165,7 +166,7 @@ class _Run:
         size = self.config.batch_size if size is None else size
         pos = self._index_pos
         if pos + size > len(self._indices):
-            fresh = self._batch_rng.integers(0, self._high, size=max(_CHUNK, size))
+            fresh = self._batch_rng.integers(0, self.problem.n_components, size=max(_CHUNK, size))
             self._indices = np.concatenate((self._indices[pos:], fresh))
             self._indices.flags.writeable = False
             pos = 0
@@ -190,13 +191,22 @@ class _Run:
                 f"iterate norm exceeded {DIVERGENCE_NORM:g} during {where}", self.trace, self.counters
             )
 
-    def checkpoint(self, step: int, x: np.ndarray) -> None:
-        """Record a row at step 0, every ``checkpoint_stride`` steps and after the last step."""
-        if step % self.config.checkpoint_stride and step != self.length:
-            return
+    def steps(self, point: Callable[[], np.ndarray]) -> Iterator[int]:
+        """The loop: yields each step t = 0, 1, ...; records ``point()`` at step 0, each stride and the last step.
+
+        A guard that raises in the loop body leaves the generator at its ``yield``: that step adds no row.
+        """
+        stride, length = self.config.checkpoint_stride, self.config.horizon or self.config.epochs
+        self._checkpoint(0, point())
+        for step in range(1, length + 1):
+            yield step - 1
+            if step % stride == 0 or step == length:
+                self._checkpoint(step, point())
+
+    def _checkpoint(self, step: int, x: np.ndarray) -> None:
         cfg = self.config
         gap = rel_gap = dist_sq = math.nan
-        if not self.problem.is_streaming and cfg.f_star is not None:
+        if cfg.f_star is not None:
             gap = penalty_objective(self.problem, cfg.gamma, x) - cfg.f_star
             if abs(cfg.f_star) >= 1e-12:
                 rel_gap = gap / cfg.f_star
@@ -303,19 +313,15 @@ def ssqp_run(
     problem: ConstrainedProblem, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray, RunTrace, OracleCounters]:
     """Run SSQP for config.horizon steps; returns (averaged, last, trace, counters)."""
+    run = _Run(problem, config, SSQP_SCHEDULES)
     schedule = config.schedule
-    if not isinstance(schedule, SSQP_SCHEDULES):
-        raise TypeError("ssqp_run needs an SSQP schedule")
-    run = _Run(problem, config, config.horizon)
     state = SsqpState(x=config.x0.copy())
     # the trace follows the averaged iterate under the convex schedule
-    use_avg = isinstance(schedule, SsqpConvexSchedule)
-    run.checkpoint(0, state.x)
-    for t in range(config.horizon):
+    use_avg = isinstance(config.schedule, SsqpConvexSchedule)
+    for t in run.steps(lambda: state.averaged if use_avg else state.x):
         sample = sfo_query(problem, state.x, run.batch(), run.counters)
         state = ssqp_step(state, sample, schedule.stepsize(t), config.gamma, problem.regularizer, run.counters)
         run.guard(state.x, "ssqp iteration {}", t)
-        run.checkpoint(t + 1, state.averaged if use_avg else state.x)
     return state.averaged, state.x, run.trace, run.counters
 
 
@@ -375,24 +381,20 @@ def ssqp_skip_run(
     evaluated only on steps whose coin solves the QP; the initial sample for
     y0 and the skipped steps evaluate the gradient alone.
     """
+    run = _Run(problem, config, SKIP_SCHEDULES)
     schedule = config.schedule
-    if not isinstance(schedule, SKIP_SCHEDULES):
-        raise TypeError("ssqp_skip_run needs a SkipSchedule")
     if problem.strong_convexity <= 0:
         raise ValueError("SSQP-Skip requires a strongly convex problem (mu > 0)")
-    run = _Run(problem, config, config.horizon)
     x0 = config.x0.copy()
     # y0 costs one SFO batch, drawn before row 0
     init_sample = sfo_query(problem, x0, run.batch(), run.counters, constraints=False)
     state = SkipState(x=x0, y=init_sample.stochastic_gradient.copy())
-    run.checkpoint(0, state.x)
-    for t in range(config.horizon):
+    for t in run.steps(lambda: state.x):
         eta, p = schedule.parameters(t)
         solve_qp = run.coin(p)
         sample = sfo_query(problem, state.x, run.batch(), run.counters, constraints=solve_qp)
         state = ssqp_skip_step(state, sample, eta, p, config.gamma, problem.regularizer, solve_qp, run.counters)
         run.guard(state.x, "ssqp-skip iteration {}", t)
-        run.checkpoint(t + 1, state.x)
     return state.x, run.trace, run.counters
 
 
@@ -449,20 +451,16 @@ def varas_run(
     component.  ``varas_step`` then makes the update.  A trace row is emitted
     per epoch at the new snapshot.
     """
+    run = _Run(problem, config, VARAS_SCHEDULES)
     schedule = config.schedule
-    if not isinstance(schedule, VARAS_SCHEDULES):
-        raise TypeError("varas_run needs a VarasSchedule")
-    if problem.is_streaming:
-        raise StreamingUnsupportedError("VARAS needs a finite-sum problem")
-    run = _Run(problem, config, config.epochs)
     counters = run.counters
     mu = schedule.mu
 
     snapshot = config.x0.copy()
     z = config.x0.copy()
-    run.checkpoint(0, snapshot)
     answer: Optional[QpSolution] = None
-    for s in range(1, config.epochs + 1):
+    for done in run.steps(lambda: snapshot):
+        s = done + 1
         snap_grad, snap_table = full_gradient(problem, snapshot, counters)
         alpha, beta, omega, t_s = schedule.epoch_params(s)
         weights = schedule.normalized_theta(s)
@@ -490,5 +488,4 @@ def varas_run(
             x_mix = x_mix + weights[t - 1] * x
             run.guard(x, "varas epoch {} inner {}", s, t)
         snapshot = x_mix
-        run.checkpoint(s, snapshot)
     return snapshot, run.trace, counters

@@ -76,18 +76,14 @@ def primal_dual_run(
     problem: ConstrainedProblem, config: RunConfig
 ) -> tuple[np.ndarray, RunTrace, OracleCounters]:
     """Run the baseline for config.horizon steps; returns (last iterate, trace, counters)."""
+    run = _Run(problem, config, PRIMAL_DUAL_SCHEDULES)
     schedule = config.schedule
-    if not isinstance(schedule, PRIMAL_DUAL_SCHEDULES):
-        raise TypeError("primal_dual_run needs a PrimalDualSchedule")
-    run = _Run(problem, config, config.horizon)
     state = PrimalDualState(x=config.x0.copy(), duals=np.zeros(problem.m))
-    run.checkpoint(0, state.x)
-    for t in range(config.horizon):
+    for t in run.steps(lambda: state.x):
         sample = sfo_query(problem, state.x, run.batch(), run.counters)
         state = primal_dual_step(
             state, sample, schedule.eta_x, schedule.eta_lambda,
             problem.regularizer, schedule.clip,
         )
         run.guard(state.x, "primal-dual iteration {}", t)
-        run.checkpoint(t + 1, state.x)
     return state.x, run.trace, run.counters

@@ -3,7 +3,7 @@
 Subcommands:
   run <config.json>        execute the configured seeds, write traces + metadata
   reference <config.json>  compute (x_star, F_star) and print/update a reference block
-  report <trace-dir>       calls-to-threshold summary over the traces in a directory
+  report <trace-dir>       calls-to-threshold summary over the traces its metadata.json names
   slope <trace.csv>        rate-slope fit over a single trace
 
 Exit codes: 0 success, 2 config error (including unreadable or non-finite
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -121,11 +122,19 @@ def _cmd_reference(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    files = sorted(Path(args.trace_dir).glob("*.csv"))
+    trace_dir = Path(args.trace_dir)
+    manifest = trace_dir / "metadata.json"
+    # a manifest names its run's traces, so an older run's CSVs beside them are not read
+    meta = json.loads(manifest.read_text()) if manifest.exists() else None
+    files = sorted(trace_dir / f for f in meta["trace_files"].values()) if meta else sorted(trace_dir.glob("*.csv"))
     if not files:
         raise ConfigError(f"no trace files in {args.trace_dir}")
-    traces = [read_trace(f) for f in files]
-    summary = calls_to_threshold(traces, args.metric, args.threshold)
+    missing = [f.name for f in files if not f.is_file()]
+    if missing:
+        raise ConfigError(f"{manifest} names traces that are missing: {missing}")
+    summary = calls_to_threshold([read_trace(f) for f in files], args.metric, args.threshold)
+    if meta:
+        summary["seed_status"] = dict(Counter(meta["seed_status"].values()))
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 

@@ -306,7 +306,7 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
             meta[key] = {str(s): None if c is None else c[i] for s, (_, _, c) in records.items()}
         meta["measured_seconds_informational"] = time.time() - started
         tmp = out / "metadata.json.tmp"
-        tmp.write_text(json.dumps(meta, indent=2) + "\n")
+        tmp.write_text(json.dumps(meta) + "\n")
         os.replace(tmp, out / "metadata.json")
 
     paths = {seed: out / f"{config.algorithm}_seed{seed}.csv" for seed in config.seeds}

@@ -1,6 +1,6 @@
 """Constrained problem definitions, the stochastic first-order oracle, and call accounting.
 
-A problem is a finite-sum (or streaming) smooth convex objective, m smooth
+A problem is a finite-sum smooth convex objective over n >= 1 components, m smooth
 convex inequality constraints, and a simple regularizer.  It is evaluated
 only through two block evaluators: ``component_block(x, idx)`` gives the
 values (b,) and gradients (b, d) of the components in the index array ``idx``,
@@ -26,7 +26,6 @@ __all__ = [
     "SfoSample",
     "OracleCounters",
     "NonFiniteEvaluationError",
-    "StreamingUnsupportedError",
     "sfo_query",
     "full_gradient",
 ]
@@ -34,10 +33,6 @@ __all__ = [
 
 class NonFiniteEvaluationError(RuntimeError):
     """An oracle evaluation produced NaN or infinity; the run must abort."""
-
-
-class StreamingUnsupportedError(RuntimeError):
-    """Operation requires a finite-sum objective but the problem is streaming."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +151,15 @@ ConstraintBlock = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 @dataclass
 class ConstrainedProblem:
-    """A convex objective f = mean_i f_i with m smooth inequality constraints g_k <= 0.
+    """A finite-sum convex objective f = mean_i f_i, n >= 1, with m smooth constraints g_k <= 0.
 
     Evaluation goes through two block evaluators only:
 
     - ``component_block(x, idx)`` takes an integer index array of length b and
       returns ``(vals (b,), grads (b, dim))``, row j holding ``f_idx[j](x)``
-      and its gradient.  When ``n_components`` is 0 the objective is
-      streaming: any integer index is a fresh draw and full-pass operations
-      are unavailable.  The returned arrays must not be written by later
-      calls: VARAS reads a full pass's gradient rows for a whole epoch.
+      and its gradient, for indices in [0, n_components).  The returned arrays
+      must not be written by later calls: VARAS reads a full pass's gradient
+      rows for a whole epoch.
     - ``constraint_block(x)`` returns ``(vals (m,), grads (m, dim))``, row k
       holding ``g_k(x)`` and its gradient.  It is required exactly when
       ``m > 0``.
@@ -184,8 +178,8 @@ class ConstrainedProblem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.n_components < 0:
-            raise ValueError("component count must be >= 0 (0 = streaming)")
+        if self.n_components < 1:
+            raise ValueError("component count must be >= 1")
         if self.component_block is None:
             raise ValueError("a component block evaluator is required")
         if self.m < 0:
@@ -198,10 +192,6 @@ class ConstrainedProblem:
             raise ValueError("constraint smoothness L_g must be nonnegative")
         if self.strong_convexity < 0 or self.strong_convexity > self.smoothness + 1e-12:
             raise ValueError("need 0 <= mu <= L_f")
-
-    @property
-    def is_streaming(self) -> bool:
-        return self.n_components == 0
 
     # -- raw evaluation helpers (no counting) --
 
@@ -216,9 +206,7 @@ class ConstrainedProblem:
         return np.asarray(vals, dtype=float), np.asarray(grads, dtype=float)
 
     def objective_value(self, x: np.ndarray) -> float:
-        """Exact f(x) = mean_i f_i(x); finite-sum only, not counted."""
-        if self.is_streaming:
-            raise StreamingUnsupportedError("full objective needs a finite sum")
+        """Exact f(x) = mean_i f_i(x), not counted."""
         vals, _ = self.component_values_grads(x, np.arange(self.n_components))
         return float(np.mean(vals))
 
@@ -263,10 +251,9 @@ def sfo_query(
         raise ValueError("batch must be nonempty")
     if batch.ndim != 1 or batch.dtype.kind not in "iu":
         raise IndexError("component indices must be a 1-D integer array")
-    if not problem.is_streaming:
-        n = problem.n_components
-        if not (0 <= batch.item(0) < n if b == 1 else 0 <= batch.min() and batch.max() < n):
-            raise IndexError("component index out of range")
+    n = problem.n_components
+    if not (0 <= batch.item(0) < n if b == 1 else 0 <= batch.min() and batch.max() < n):
+        raise IndexError("component index out of range")
     _, grads = problem.component_values_grads(x, batch)
     # bit for bit what grads.mean(axis=0) computes.  The reduction starts from
     # +0.0, so one row's mean is the row plus 0.0: -0.0 turns into +0.0 and
@@ -295,8 +282,6 @@ def full_gradient(
     snapshot gradients from there instead of evaluating f_i again.  The table
     is finite whenever the mean is.
     """
-    if problem.is_streaming:
-        raise StreamingUnsupportedError("full gradient needs a finite sum")
     x = np.asarray(x, dtype=float)
     _check_finite(x, "query point")
     _, grads = problem.component_values_grads(x, np.arange(problem.n_components))

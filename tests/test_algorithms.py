@@ -29,7 +29,7 @@ from ssqpbench import (
     varas_run,
     varas_step,
 )
-from ssqpbench.algorithms import _CHUNK, _Run
+from ssqpbench.algorithms import _CHUNK, SSQP_SCHEDULES, _Run
 from ssqpbench.problems import random_quadratic_problem
 
 from kkt_oracle import solve_kkt_quadratic
@@ -181,8 +181,8 @@ class TestSsqpRun:
                 formatted.append(args)
                 return super().format(*args)
 
-        config = RunConfig(gamma=1.0, schedule=None, x0=np.zeros(1), horizon=1)
-        run = _Run(toy_problem(), config, 1)
+        config = RunConfig(gamma=1.0, schedule=TunedConstantSchedule(eta=0.1), x0=np.zeros(1), horizon=1)
+        run = _Run(toy_problem(), config, SSQP_SCHEDULES)
         for t in range(100):
             run.guard(np.ones(1), Where("step {} of {}"), t, 100)
         assert formatted == []
@@ -418,17 +418,6 @@ class TestVaras:
         assert counters.qmo_calls == sum(lengths)
         assert counters.full_gradient_passes == epochs
 
-    def test_streaming_rejected(self):
-        problem = ConstrainedProblem(
-            dim=1, n_components=0,
-            component_block=lambda x, idx: (np.zeros(len(idx)), np.zeros((len(idx), 1))),
-            smoothness=1.0, constraint_smoothness=0.0,
-        )
-        sched = VarasSchedule(n=4, mu=0.0, smoothness_gamma=1.0)
-        config = RunConfig(gamma=1.0, schedule=sched, x0=np.zeros(1), epochs=2)
-        with pytest.raises(Exception):
-            varas_run(problem, config)
-
 
 def checkpoint_case(algorithm, problem):
     """(run function, config, expected iteration column) for one loop."""
@@ -461,15 +450,64 @@ class TestCheckpointRule:
         assert (trace.rows[-1].sfo, trace.rows[-1].qmo) == (counters.sfo_calls, counters.qmo_calls)
 
 
+def repelling_problem(k):
+    """1-d f(x) = -(k/2) x^2 on two components: every loop's iterate runs off to infinity."""
+
+    def component_block(x, idx):
+        return np.full(len(idx), -0.5 * k * x @ x), np.tile(-k * x, (len(idx), 1))
+
+    return ConstrainedProblem(
+        dim=1, n_components=2, component_block=component_block,
+        smoothness=1.0, constraint_smoothness=0.0, strong_convexity=1.0,
+    )
+
+
+class TestEveryLoopGuard:
+    """Each loop's divergence message, and the partial trace it carries: no row for the failing step."""
+
+    @pytest.mark.parametrize(
+        "run, k, schedule, length, where, rows",
+        [
+            (ssqp_run, 1.0, TunedConstantSchedule(eta=10.0), {"horizon": 1000},
+             "ssqp iteration 11", [0, 3, 6, 9]),
+            (ssqp_skip_run, 100.0, SkipSchedule(mu=1.0, smoothness=1.0), {"horizon": 1000},
+             "ssqp-skip iteration 8", [0, 3, 6]),
+            (varas_run, 100.0, VarasSchedule(n=2, mu=1.0, smoothness_gamma=1.0), {"epochs": 50},
+             "varas epoch 6 inner 1", [0, 3]),
+            (primal_dual_run, 1.0, PrimalDualSchedule(eta_x=10.0, eta_lambda=1.0), {"horizon": 1000},
+             "primal-dual iteration 11", [0, 3, 6, 9]),
+        ],
+        ids=["ssqp", "ssqp-skip", "varas", "primal-dual"],
+    )
+    def test_message_and_partial_trace(self, run, k, schedule, length, where, rows):
+        config = RunConfig(gamma=1.0, schedule=schedule, x0=np.ones(1), checkpoint_stride=3, **length)
+        with pytest.raises(DivergenceError) as err:
+            run(repelling_problem(k), config)
+        assert str(err.value) == f"iterate norm exceeded 1e+12 during {where}"
+        assert err.value.trace.column("iteration").tolist() == rows
+
+    @pytest.mark.parametrize(
+        "run, length",
+        [(ssqp_run, {"horizon": 5}), (ssqp_skip_run, {"horizon": 5}), (varas_run, {"epochs": 2})],
+        ids=["ssqp", "ssqp-skip", "varas"],
+    )
+    def test_foreign_schedule_is_a_type_error(self, run, length):
+        config = RunConfig(gamma=1.0, schedule=PrimalDualSchedule(eta_x=0.1, eta_lambda=0.1),
+                           x0=np.zeros(1), **length)
+        with pytest.raises(TypeError):
+            run(toy_problem(), config)
+
+
 class TestRunStreams:
     """``_Run`` serves pre-drawn chunks; each draw must equal the per-call draw it replaces."""
 
     @staticmethod
     def run_and_streams(problem, seed=5, batch_size=1):
-        config = RunConfig(gamma=1.0, schedule=None, x0=np.zeros(problem.dim), horizon=1,
-                           batch_size=batch_size, seed=seed)
+        config = RunConfig(gamma=1.0, schedule=TunedConstantSchedule(eta=0.1), x0=np.zeros(problem.dim),
+                           horizon=1, batch_size=batch_size, seed=seed)
         batch_seed, coin_seed = np.random.SeedSequence(seed).spawn(2)
-        return _Run(problem, config, 1), np.random.default_rng(batch_seed), np.random.default_rng(coin_seed)
+        run = _Run(problem, config, SSQP_SCHEDULES)
+        return run, np.random.default_rng(batch_seed), np.random.default_rng(coin_seed)
 
     @pytest.mark.parametrize(
         "sizes",
@@ -493,17 +531,6 @@ class TestRunStreams:
         run, batch_rng, _ = self.run_and_streams(problem, batch_size=4)
         for _ in range(_CHUNK // 4 + 3):
             np.testing.assert_array_equal(run.batch(), batch_rng.integers(0, 100, size=4))
-
-    def test_streaming_batch_matches_per_call_draws(self):
-        problem = ConstrainedProblem(
-            dim=1, n_components=0,
-            component_block=lambda x, idx: (np.zeros(len(idx)), np.zeros((len(idx), 1))),
-            smoothness=1.0, constraint_smoothness=0.0,
-        )
-        run, batch_rng, _ = self.run_and_streams(problem)
-        high = np.iinfo(np.int64).max
-        for size in [1, 4, 2] * (_CHUNK // 3):
-            np.testing.assert_array_equal(run.batch(size), batch_rng.integers(0, high, size=size))
 
     def test_coin_matches_per_call_draws(self):
         problem = random_quadratic_problem(seed=2, dim=3, n=10)

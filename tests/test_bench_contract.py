@@ -4,12 +4,13 @@
 through ``owner.__dict__``, and ``bench/workloads.py`` wraps the four solver
 loops in ``ssqpbench.harness``.  A refactor that moves one of them (say, turns a
 method into a field) would break ``bench/run.py --trace 1`` without failing any
-other test.  The last test runs the bench's own ``--quick`` smoke pass.
+other test.  The last test runs the bench's own ``--quick`` smoke pass, on a copy.
 """
 
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,7 @@ from ssqpbench.problem_model import ConstrainedProblem
 from ssqpbench.problems import random_quadratic_problem
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src" / "ssqpbench"
 
 # the names ``workloads.capture_runs`` replaces in ssqpbench.harness
 WORKLOAD_RUNS = ("ssqp_run", "ssqp_skip_run", "varas_run", "primal_dual_run")
@@ -113,14 +115,28 @@ def test_every_query_goes_through_the_traced_oracle(monkeypatch, name):
     assert calls["component_values_grads"] == queries + counters.full_gradient_passes
 
 
-def test_bench_quick_smoke_passes():
-    # the bench's own smoke run: every workload tiny, traced and untraced
+def test_bench_quick_smoke_passes(tmp_path):
+    # the bench's own smoke run: every workload tiny, traced and untraced.  It
+    # runs on a copy of bench/ and src/ssqpbench/, because bench/run.py writes
+    # .bench_out/ next to its own directory and would overwrite the checkout's
+    # last full results with quick ones
+    for src, dst in ((BENCH, tmp_path / "bench"), (SRC, tmp_path / "src" / "ssqpbench")):
+        dst.mkdir(parents=True)
+        for path in src.glob("*.py"):
+            shutil.copy(path, dst / path.name)
+    results_before = bench_results()
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, str(BENCH / "run.py"), "--quick"],
-        capture_output=True, text=True, timeout=600, env=env, cwd=BENCH.parent,
+        [sys.executable, str(tmp_path / "bench" / "run.py"), "--quick"],
+        capture_output=True, text=True, timeout=600, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     results = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith('{"correct"')]
     assert len(results) == 8  # four workloads, traced and untraced
     assert all(r["correct"] is True for r in results), results
+    assert bench_results() == results_before
+
+
+def bench_results():
+    """Modification time of each of the checkout's bench result files, by path."""
+    return {path: path.stat().st_mtime_ns for path in BENCH.parent.glob(".bench_out/*/result-trace*.json")}

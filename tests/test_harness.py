@@ -215,6 +215,12 @@ class TestRunExperiment:
         assert saved["config"]["gamma"] == 20.0
         assert saved["checkpoint_stride_resolved"] == 5
 
+    def test_manifest_is_compact_json(self, tmp_path):
+        # one line from the C encoder: the indenting encoder is pure Python
+        run_experiment(BenchConfig.from_dict(quadratic_config(seeds=[0, 1])), output_dir=tmp_path)
+        text = (tmp_path / "metadata.json").read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = BenchConfig.from_dict(quadratic_config())
         run_experiment(cfg, output_dir=tmp_path / "a")
@@ -513,6 +519,23 @@ class TestCli:
         assert cli_main(["report", str(out), "--threshold", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mean_sfo"] == 8.0
+
+    def test_report_reads_only_the_traces_the_manifest_names(self, tmp_path, capsys):
+        # a shorter rerun of seed 0 leaves seeds 1 and 2 of the older run in the directory
+        out = tmp_path / "out"
+        cfg = self.write_config(tmp_path, seeds=[0, 1, 2], horizon=200, output_dir=str(out))
+        assert cli_main(["run", str(cfg)]) == 0
+        assert cli_main(["run", str(cfg), "--seed", "0", "--horizon", "20"]) == 0
+        assert sorted(p.name for p in out.glob("*.csv")) == [f"ssqp_seed{s}.csv" for s in (0, 1, 2)]
+        capsys.readouterr()
+        assert cli_main(["report", str(out), "--metric", "dist_sq", "--threshold", "1e9"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["seeds"] == 1
+        assert payload["seed_status"] == {"ok": 1}
+        # a trace the manifest names but the directory lacks is a config error, not a crash
+        (out / "ssqp_seed0.csv").unlink()
+        assert cli_main(["report", str(out), "--threshold", "1e9"]) == 2
+        assert "names traces that are missing: ['ssqp_seed0.csv']" in capsys.readouterr().err
 
     def test_slope_subcommand(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

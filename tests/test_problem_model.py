@@ -11,7 +11,6 @@ from ssqpbench import (
     OracleCounters,
     RunConfig,
     SkipSchedule,
-    StreamingUnsupportedError,
     Zero,
     full_gradient,
     sfo_query,
@@ -262,7 +261,7 @@ class TestOneIndexQuery:
     """A one-index query skips the batch reductions but keeps every check."""
 
     @staticmethod
-    def row_problem(row, n=3):
+    def row_problem(row):
         calls = []
 
         def component_block(x, idx):
@@ -270,7 +269,7 @@ class TestOneIndexQuery:
             return np.zeros(len(idx)), np.tile(row, (len(idx), 1))
 
         problem = ConstrainedProblem(
-            dim=len(row), n_components=n, component_block=component_block,
+            dim=len(row), n_components=3, component_block=component_block,
             smoothness=1.0, constraint_smoothness=0.0,
         )
         return problem, calls
@@ -289,14 +288,6 @@ class TestOneIndexQuery:
         with pytest.raises(IndexError, match="out of range"):
             sfo_query(problem, np.zeros(2), [index])
         assert calls == []
-
-    @pytest.mark.parametrize("index", [0, -1, 10**15])
-    def test_streaming_accepts_any_index(self, index):
-        problem, calls = self.row_problem(np.ones(2), n=0)
-        counters = OracleCounters()
-        sample = sfo_query(problem, np.zeros(2), [index], counters)
-        np.testing.assert_array_equal(sample.stochastic_gradient, np.ones(2))
-        assert [list(c) for c in calls] == [[index]] and counters.sfo_calls == 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_aborts(self, bad):
@@ -376,14 +367,16 @@ class TestFullGradient:
         assert counters.sfo_calls == 9
         assert counters.full_gradient_passes == 1
 
-    def test_streaming_rejected(self):
-        problem = ConstrainedProblem(
-            dim=1, n_components=0,
-            component_block=lambda x, idx: (np.zeros(len(idx)), np.zeros((len(idx), 1))),
-            smoothness=1.0, constraint_smoothness=0.0,
-        )
-        with pytest.raises(StreamingUnsupportedError):
-            full_gradient(problem, np.zeros(1))
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_at_least_one_component(self, n):
+        with pytest.raises(ValueError, match="component count"):
+            ConstrainedProblem(
+                dim=1, n_components=n,
+                component_block=lambda x, idx: (np.zeros(len(idx)), np.zeros((len(idx), 1))),
+                smoothness=1.0, constraint_smoothness=0.0,
+            )
 
 
 class TestShippedProblemInvariants:
