@@ -17,8 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .penalty import penalty_objective
-from .problem_model import ConstrainedProblem, full_gradient
-from .qp_subproblem import CanonicalQp, solve_canonical_qp
+from .algorithms import _linearized_qp
+from .problem_model import ConstrainedProblem, SfoSample, full_gradient
+from .qp_subproblem import solve_canonical_qp
 
 __all__ = [
     "UsvProblem",
@@ -477,77 +478,47 @@ def brute_force_optimum(
     """High-accuracy reference minimizer of the exact-penalty objective.
 
     Deterministic full-gradient prox-linear iteration with warm-started QP
-    duals and a monotone backtracking stepsize (a fixed point of the
-    prox-linear map minimizes the penalty objective for any stepsize, so the
-    stopping rule move/eta <= tol is valid without the theorem's conservative
-    stepsize bound).  Returns (x_star, F_star).  Counters are untouched
-    (instrumentation).  Raises ``ReferenceSolveError`` when the iteration
-    budget runs out first.
+    duals and a monotone backtracking stepsize.  Each iteration linearizes at
+    x (the QP that ``_linearized_qp`` builds for the loops) and backtracks:
+    every solve takes the fixed-point test move/eta <= tol (a fixed point of
+    the prox-linear map minimizes the penalty objective for any stepsize, so
+    the test is valid without the theorem's conservative stepsize bound) and
+    ends the backtracking when it passes or when F rises by at most
+    1e-12 (1 + |F|); a step at or below 1e-14 also counts as converged.  The
+    solve stops when the test passes or after 30 iterations in a row whose F
+    moved below that resolution.  Returns (x_star, F_star).  Counters are
+    untouched (instrumentation).  Raises ``ReferenceSolveError`` when the
+    iteration budget runs out first.
     """
     x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     step = 1.0 / problem.smoothness
     f_cur = penalty_objective(problem, gamma, x)
-    warm = None
-
-    def prox_linear(point, gradient, offsets, slopes, stepsize, warm_sol):
-        # at large 1/stepsize the stationarity residual floor is set by
-        # rho * eps-level cancellation in u - w, so relax the target with rho
-        solve_tol = min(1e-4, max(min(1e-11, tol * 1e-2), 1e-14 / stepsize))
-        qp = CanonicalQp(
-            rho=1.0 / stepsize,
-            anchor=point,
-            linear=gradient,
-            regularizer=problem.regularizer,
-            hinge_weight=gamma,
-            offsets=offsets,
-            slopes=slopes,
-        )
-        return solve_canonical_qp(qp, tol=solve_tol, warm=warm_sol)
-
-    converged = False
+    sol = None
     stalls = 0
-    for it in range(max_iters):
-        grad = full_gradient(problem, x)[0]
-        cvals, cgrads = problem.constraint_values_grads(x)
-        offsets = cvals - cgrads @ x if len(cvals) else cvals
-        sol = prox_linear(x, grad, offsets, cgrads, step, warm)
-        warm = sol
-        # the prox-linear fixed-point residual certifies optimality before any
-        # descent test, which would stall on floating noise at the optimum
-        if float(np.linalg.norm(sol.u - x)) / step <= tol:
+    for _ in range(max_iters):
+        sample = SfoSample(full_gradient(problem, x)[0], *problem.constraint_values_grads(x))
+        while True:
+            # at large 1/step the stationarity residual floor is set by
+            # rho * eps-level cancellation in u - w, so relax the target with rho
+            solve_tol = min(1e-4, max(min(1e-11, tol * 1e-2), 1e-14 / step))
+            qp = _linearized_qp(x, 1.0 / step, sample.stochastic_gradient, gamma, sample, problem.regularizer)
+            sol = solve_canonical_qp(qp, tol=solve_tol, warm=sol)
+            # the fixed-point residual certifies optimality ahead of the
+            # descent test, which would stall on floating noise at the optimum
+            converged = float(np.linalg.norm(sol.u - x)) / step <= tol
             f_new = penalty_objective(problem, gamma, sol.u)
-            if f_new <= f_cur:
-                x, f_cur = sol.u, f_new
-            converged = True
-            break
-        f_new = penalty_objective(problem, gamma, sol.u)
-        while f_new > f_cur + 1e-12 * (1.0 + abs(f_cur)):
+            if converged or f_new <= f_cur + 1e-12 * (1.0 + abs(f_cur)):
+                break
             if step <= 1e-14:
-                # descent stalled at floating precision: numerically optimal
-                converged = True
+                converged = True  # descent stalled at floating precision
                 break
             step *= 0.5
-            sol = prox_linear(x, grad, offsets, cgrads, step, warm)
-            warm = sol
-            if float(np.linalg.norm(sol.u - x)) / step <= tol:
-                converged = True
-            f_new = penalty_objective(problem, gamma, sol.u)
-            if converged:
-                break
-        if abs(f_new - f_cur) <= 1e-12 * (1.0 + abs(f_cur)):
-            # objective changes below floating resolution; after repeated
-            # stalls the iterate is numerically optimal even if the
-            # fixed-point residual floor sits above tol
-            stalls += 1
-            if stalls >= 30:
-                converged = True
-        else:
-            stalls = 0
+        # repeated changes below floating resolution: numerically optimal
+        # even if the fixed-point residual floor sits above tol
+        stalls = stalls + 1 if abs(f_new - f_cur) <= 1e-12 * (1.0 + abs(f_cur)) else 0
         if f_new <= f_cur:
             x, f_cur = sol.u, f_new
-        if converged:
-            break
+        if converged or stalls >= 30:
+            return x, f_cur
         step *= 1.25  # probe a larger step; backtracking undoes overshoots
-    if not converged:
-        raise ReferenceSolveError(f"reference solve did not reach tol={tol:g} in {max_iters} iterations")
-    return x, penalty_objective(problem, gamma, x)
+    raise ReferenceSolveError(f"reference solve did not reach tol={tol:g} in {max_iters} iterations")

@@ -371,6 +371,33 @@ class TestReferenceSolvers:
         x, _ = brute_force_optimum(problem, gamma=10.0, tol=1e-10)
         assert x[0] == pytest.approx(1.0, abs=1e-8)
 
+    # sha256 of the x* and F* bytes, and the QP solves spent on them.  Criterion
+    # 2's weight is the Slater bound its seed-0 instance derives, written out
+    # so that the pin does not depend on the LP solver's last bits.
+    @pytest.mark.parametrize(
+        "build, gamma, tol, digest, solves",
+        [
+            (lambda: generate_regression_problem(seed=11)[0], 100.0, 1e-10,
+             "e29ed82c6ef11e10977e338df911f7715d8f2b11d3faba655ef0bf04f6d0c010", 54),
+            (lambda: random_quadratic_problem(seed=21, dim=6, n=64, m=2, mu=0.5, smoothness=10.0), 50.0, 1e-12,
+             "83bf8f1794eea548dda9510ce97aeb199ad2f729c979f8ce76db5bb2781b4e19", 157),
+            (lambda: random_quadratic_problem(seed=0, dim=3, n=6, m=2), 11.215109829705609, 1e-10,
+             "4736b5928f4fc221a6e96dfdc32275f7698bb96a25ca409350c6253e4be4a70f", 55),
+        ],
+        ids=["regression-seed11", "criterion5-quadratic", "criterion2-seed0"],
+    )
+    def test_brute_force_bytes_are_pinned(self, monkeypatch, build, gamma, tol, digest, solves):
+        import hashlib
+
+        import ssqpbench.problems as problems
+
+        calls = []
+        solve = problems.solve_canonical_qp
+        monkeypatch.setattr(problems, "solve_canonical_qp", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        x, f = brute_force_optimum(build(), gamma, tol=tol)
+        assert hashlib.sha256(x.tobytes() + np.float64(f).tobytes()).hexdigest() == digest
+        assert len(calls) == solves
+
     def test_brute_force_budget_exhaustion_is_typed(self):
         problem = random_quadratic_problem(seed=14, dim=3, n=8, m=2)
         with pytest.raises(ReferenceSolveError, match="did not reach tol"):
