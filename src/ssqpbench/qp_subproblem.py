@@ -529,11 +529,11 @@ def _dual_active_set(
         hinge = qp.offsets + qp.slopes @ u
         slack = hinge - v
         # a working-hinge residual above rounding (relative 1e-8 of the terms
-        # of b + A u - v) means the system has no solution
+        # of b + A u - v, with u's rounding |r| / rho) means the system has no solution
         dev = np.maximum.reduce(np.abs(slack[act]), initial=0.0)
         ray = False
         if dev > eps:
-            terms = np.abs(qp.offsets[act]) + np.abs(qp.slopes[act]) @ np.abs(u)
+            terms = np.abs(qp.offsets[act]) + np.abs(qp.slopes[act]) @ (np.abs(u) + np.abs(r) / qp.rho)
             ray = dev > 1e-8 * (1.0 + abs(v) + float(np.maximum.reduce(terms)))
         step = np.where(work, slack, 0.0) if ray else mu_t - mu
         # ratio test over each bounded dual's slack c >= 0 and its rate dc along

@@ -514,6 +514,26 @@ class TestTightTolerance:
         assert sol.active_set == (0, 1) and sol.v > 0.0
 
 
+class TestTinyRho:
+    # one hinge with a nonzero free row is never a ray; at tiny rho the
+    # rounding of u = (r - A^T mu) / rho grows like |r| / rho, and the ray
+    # test must not read it as a residual.  The first QP is one of criterion
+    # 5's flat reference solves (step grown to 1 / rho).
+    @pytest.mark.parametrize(
+        "rho, anchor, linear, expected",
+        [
+            (2.800924467459918e-09, [0.09530263856582473, 1.0], [5.890527289912e-12, 1.092823429405998],
+             [0.09319957318211092, 1.0]),
+            (2.8e-9, [0.1, 1.0], [0.0, 1.1], [0.1, 1.0]),
+        ],
+    )
+    def test_single_hinge_certifies(self, rho, anchor, linear, expected):
+        qp = make_qp(rho=rho, anchor=anchor, linear=linear, gamma=10.0, offsets=[1.0], slopes=[[0.0, -1.0]])
+        cold = assert_loop_certifies(qp)
+        np.testing.assert_allclose(cold.u, expected, atol=1e-8)
+        assert assert_loop_certifies(qp, warm=cold).u.tobytes() == cold.u.tobytes()
+
+
 class TestWarmEpigraphCase:
     def test_paid_to_enforced_hinge_releases_v(self):
         # warm from the paid hinge (v = 0.5 > 0, sum mu = Gamma held); with
