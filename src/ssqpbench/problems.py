@@ -95,7 +95,8 @@ def generate_current_ensemble(
     The ground truth is an affine field v(y) = W y + z.  Estimate i observes
     (I + diag(xi_i)) (W y_j + z) with one xi_i ~ N(0, I_2) shared across three
     fixed non-collinear sample positions, then solves the resulting 6x6 linear
-    system for (W_i, z_i).  Returns (W_list, z_list, W_true, z_true).
+    system for (W_i, z_i), all n in one batched solve.  Returns (W_list,
+    z_list, W_true, z_true).
     """
     if n < 1:
         raise ValueError("ensemble needs n >= 1")
@@ -114,17 +115,11 @@ def generate_current_ensemble(
     if abs(np.linalg.det(system)) < 1e-9:
         raise ValueError("sample positions give a singular recovery system")
 
-    w_list = np.empty((n, 2, 2))
-    z_list = np.empty((n, 2))
-    for i in range(n):
-        xi = rng.standard_normal(2)
-        rhs = np.empty(6)
-        for j, y in enumerate(positions):
-            rhs[2 * j : 2 * j + 2] = (1.0 + xi) * (w_true @ y + z_true)
-        sol = np.linalg.solve(system, rhs)
-        w_list[i] = sol[:4].reshape(2, 2)
-        z_list[i] = sol[4:]
-    return w_list, z_list, w_true, z_true
+    xi = rng.standard_normal((n, 2))
+    clean = np.concatenate([w_true @ y + z_true for y in positions])  # v(y_j), stacked
+    rhs = np.tile(1.0 + xi, 3) * clean  # (n, 6)
+    sol = np.linalg.solve(system, rhs[..., None])[..., 0]
+    return sol[:, :4].reshape(n, 2, 2), sol[:, 4:], w_true, z_true
 
 
 def path_from_decision(usv: UsvProblem, x: np.ndarray) -> np.ndarray:
