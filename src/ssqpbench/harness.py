@@ -83,6 +83,11 @@ class ConfigError(ValueError):
     """Invalid benchmark configuration."""
 
 
+def _number(value, types=(int, float)) -> bool:
+    """True for an instance of ``types`` that is not a bool (Python's bool is an int)."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 @dataclass
 class BenchConfig:
     """Validated benchmark configuration (mirrors the JSON schema 1:1)."""
@@ -123,16 +128,28 @@ class BenchConfig:
         kinds = tuple(_PROBLEMS)  # matched by equality, so an unhashable kind is a config error too
         if not isinstance(self.problem, dict) or self.problem.get("kind") not in kinds:
             raise ConfigError(f"problem.kind must be one of {kinds}")
-        if not isinstance(self.gamma, (int, float)) or not self.gamma > 0:
+        if not _number(self.gamma) or not self.gamma > 0:
             raise ConfigError("gamma must be a positive number")
-        if not self.seeds or not all(isinstance(s, int) for s in self.seeds):
-            raise ConfigError("seeds must be a nonempty list of integers")
+        seeds = self.seeds if isinstance(self.seeds, (list, tuple)) else [None]
+        if not seeds or not all(_number(s, int) for s in seeds) or len(set(seeds)) < len(seeds):
+            raise ConfigError("seeds must be a nonempty list of distinct integers")
+        for name, low in (("horizon", 0), ("epochs", 0), ("batch_size", 1), ("checkpoint_stride", 0)):
+            if not _number(getattr(self, name), int) or getattr(self, name) < low:
+                raise ConfigError(f"{name} must be an integer >= {low}")
         if _ALGORITHMS[self.algorithm][1] == "epochs" and self.epochs < 1:
             raise ConfigError(f"{self.algorithm} requires epochs >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.cost_model_m < 1:
-            raise ConfigError("cost_model_m must be >= 1")
+        if not _number(self.cost_model_m) or not self.cost_model_m >= 1:
+            raise ConfigError("cost_model_m must be a number >= 1")
+        ref = self.reference
+        if ref is not None:
+            if not isinstance(ref, dict) or not set(ref) <= {"x_star", "f_star"}:
+                raise ConfigError("reference must be an object with keys among x_star, f_star")
+            x_star = ref.get("x_star", [])
+            numbers = [ref.get("f_star", 0.0), *x_star] if isinstance(x_star, (list, tuple)) else [None]
+            if not all(_number(v) and math.isfinite(v) for v in numbers):
+                raise ConfigError("reference x_star (a list) and f_star must hold finite numbers")
+        if self.slater is not None and not (isinstance(self.slater, dict) and all(map(_number, self.slater.values()))):
+            raise ConfigError("slater must map margin and gap to numbers")
         if self.gamma_provenance not in ("tuned", "certified"):
             raise ConfigError("gamma_provenance must be 'tuned' or 'certified'")
         if self.gamma_provenance == "certified":
@@ -198,7 +215,8 @@ def read_trace(path: str | Path) -> list[TraceRow]:
 def build_problem(config: BenchConfig) -> tuple[ConstrainedProblem, np.ndarray]:
     """Instantiate the configured problem; returns (problem, default x0).
 
-    A key that the kind's factory does not take is a ``ConfigError``.
+    A key that the kind's factory does not take, or a value of a type it
+    cannot use, is a ``ConfigError``.
     """
     spec = dict(config.problem)
     kind = spec.pop("kind")
@@ -209,10 +227,13 @@ def build_problem(config: BenchConfig) -> tuple[ConstrainedProblem, np.ndarray]:
     if unknown:
         raise ConfigError(f"unknown {kind} problem keys: {sorted(unknown)}")
     spec.setdefault("seed", 0)
+    try:
+        built = factory(**spec)
+    except TypeError as exc:
+        raise ConfigError(f"bad {kind} problem parameters: {exc}") from exc
     if kind == "quadratic":
-        problem = factory(**spec)
-        return problem, np.zeros(problem.dim)
-    problem, instance = factory(**spec)
+        return built, np.zeros(built.dim)
+    problem, instance = built
     return problem, straight_line_path(instance) if kind == "usv" else np.zeros(problem.dim)
 
 
@@ -280,13 +301,13 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
     run_name, length_field, _ = _ALGORITHMS[config.algorithm]
     length = getattr(config, length_field)
     stride = config.checkpoint_stride or max(1, math.ceil(length / 500))
+    reference = config.reference or {}
+    x_star = np.asarray(reference["x_star"], dtype=float) if "x_star" in reference else None
+    f_star = reference.get("f_star")
+    if x_star is not None and len(x_star) != problem.dim:
+        raise ConfigError(f"reference x_star has {len(x_star)} entries for a problem of dimension {problem.dim}")
     out = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
     out.mkdir(parents=True, exist_ok=True)
-
-    x_star = f_star = None
-    if config.reference:
-        x_star = np.asarray(config.reference["x_star"], dtype=float) if config.reference.get("x_star") is not None else None
-        f_star = config.reference.get("f_star")
 
     # seed -> (status, trace file, (qp_nonconverged, sfo_calls, qmo_calls)), None where it has none
     records = {seed: ("pending", None, None) for seed in config.seeds}

@@ -462,6 +462,35 @@ class TestCli:
         assert [p.name for p in out.iterdir()] == ["metadata.json"]
         assert (out / "metadata.json").read_text() == "{}\n"
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"horizon": 10.0},
+            {"horizon": "10"},
+            {"batch_size": 2.0},
+            {"checkpoint_stride": 2.5},
+            {"seeds": [True]},
+            {"seeds": [0, 0]},
+            {"gamma": True},
+            {"horizon": -5},
+            {"checkpoint_stride": -1},
+            {"reference": {"x_star": [0.0, 0.0], "f_star": 1.0}},
+            {"reference": {"f_star": "1.0"}},
+            {"reference": {"xstar": [0.0, 0.0, 0.0]}},
+            {"reference": {"x_star": [0.0, float("nan"), 0.0]}},
+            {"reference": [1, 2]},
+            {"gamma_provenance": "certified", "slater": {"margin": "1", "gap": 1.0}},
+            {"problem": {"kind": "quadratic", "seed": 1.5, "dim": 3, "n": 8, "m": 2}},
+        ],
+        ids=lambda o: json.dumps(o),
+    )
+    def test_malformed_config_fails_before_writing(self, tmp_path, capsys, overrides):
+        out = tmp_path / "out"
+        cfg = self.write_config(tmp_path, output_dir=str(out), **overrides)
+        assert cli_main(["run", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_config_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
 
