@@ -5,7 +5,9 @@ minimizing expected propulsion energy against an ensemble of estimated ocean
 currents under speed-limit constraints, and a least-squares regression with
 hard residual constraints on a held-out critical sample set.  Both come with
 seeded generators, plus small factories and a deterministic reference solver
-used as the instrumentation oracle in tests.
+used as the instrumentation oracle in tests: one outer loop around one
+backtracking loop, whose QPs are the ones ``algorithms._linearized_qp`` builds
+for the solver loops (the exits are listed in ``brute_force_optimum``).
 """
 
 from __future__ import annotations
