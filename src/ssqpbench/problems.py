@@ -474,18 +474,17 @@ def brute_force_optimum(
 ) -> tuple[np.ndarray, float]:
     """High-accuracy reference minimizer of the exact-penalty objective.
 
-    Deterministic full-gradient prox-linear iteration with warm-started QP
-    duals and a monotone backtracking stepsize.  Each iteration linearizes at
-    x (the QP that ``_linearized_qp`` builds for the loops) and backtracks:
-    every solve takes the fixed-point test move/eta <= tol (a fixed point of
-    the prox-linear map minimizes the penalty objective for any stepsize, so
-    the test is valid without the theorem's conservative stepsize bound) and
-    ends the backtracking when it passes or when F rises by at most
-    1e-12 (1 + |F|); a step at or below 1e-14 also counts as converged.  The
-    solve stops when the test passes or after 30 iterations in a row whose F
-    moved below that resolution.  Returns (x_star, F_star).  Counters are
-    untouched (instrumentation).  Raises ``ReferenceSolveError`` when the
-    iteration budget runs out first.
+    Deterministic full-gradient prox-linear iteration on the QP that
+    ``_linearized_qp`` builds for the loops, with warm-started QP duals and a
+    monotone backtracking stepsize.  Every solve takes the fixed-point test
+    move/eta <= tol (a fixed point of the prox-linear map minimizes the
+    penalty objective for any stepsize, so the test is valid without the
+    theorem's conservative stepsize bound); backtracking ends when it passes
+    or F rises by at most 1e-12 (1 + |F|), and a step at or below 1e-14
+    counts as converged.  The solve stops when the test passes or after 30
+    iterations in a row whose F moved below that resolution.  Returns
+    (x_star, F_star).  Counters are untouched (instrumentation).  Raises
+    ``ReferenceSolveError`` when the iteration budget runs out first.
     """
     x = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
     step = 1.0 / problem.smoothness
@@ -494,6 +493,7 @@ def brute_force_optimum(
     stalls = 0
     for _ in range(max_iters):
         sample = SfoSample(full_gradient(problem, x)[0], *problem.constraint_values_grads(x))
+        resolution = 1e-12 * (1.0 + abs(f_cur))
         while True:
             # at large 1/step the stationarity residual floor is set by
             # rho * eps-level cancellation in u - w, so relax the target with rho
@@ -504,7 +504,7 @@ def brute_force_optimum(
             # descent test, which would stall on floating noise at the optimum
             converged = float(np.linalg.norm(sol.u - x)) / step <= tol
             f_new = penalty_objective(problem, gamma, sol.u)
-            if converged or f_new <= f_cur + 1e-12 * (1.0 + abs(f_cur)):
+            if converged or f_new <= f_cur + resolution:
                 break
             if step <= 1e-14:
                 converged = True  # descent stalled at floating precision
@@ -512,7 +512,7 @@ def brute_force_optimum(
             step *= 0.5
         # repeated changes below floating resolution: numerically optimal
         # even if the fixed-point residual floor sits above tol
-        stalls = stalls + 1 if abs(f_new - f_cur) <= 1e-12 * (1.0 + abs(f_cur)) else 0
+        stalls = stalls + 1 if abs(f_new - f_cur) <= resolution else 0
         if f_new <= f_cur:
             x, f_cur = sol.u, f_new
         if converged or stalls >= 30:

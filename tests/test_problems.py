@@ -65,6 +65,26 @@ class TestCurrentEnsemble:
                 observed = (1.0 + xi) * (w_true @ y + z_true)
                 np.testing.assert_allclose(w_list[i] @ y + z_list[i], observed, atol=1e-9)
 
+    @pytest.mark.parametrize("seed, n", [(0, 1), (7, 100), (7919, 5)])
+    def test_batched_solve_matches_one_solve_per_estimate(self, seed, n):
+        # the ensemble's bytes: one 6x6 solve per estimate, each right-hand
+        # side drawn in turn, as a loop computes them
+        rng = np.random.default_rng(seed)
+        w_true = 0.05 * rng.standard_normal((2, 2))
+        z_true = 2.0 * rng.standard_normal(2)
+        positions = np.array([[0.0, 0.0], [200.0, 0.0], [100.0, 100.0]])
+        system = np.zeros((6, 6))
+        for j, y in enumerate(positions):
+            system[2 * j, [0, 1, 4]] = [*y, 1.0]
+            system[2 * j + 1, [2, 3, 5]] = [*y, 1.0]
+        members = []
+        for _ in range(n):
+            xi = rng.standard_normal(2)
+            members.append(np.linalg.solve(system, np.concatenate([(1.0 + xi) * (w_true @ y + z_true) for y in positions])))
+        w_list, z_list, _, _ = generate_current_ensemble(seed=seed, n=n)
+        assert w_list.tobytes() == np.array([s[:4].reshape(2, 2) for s in members]).tobytes()
+        assert z_list.tobytes() == np.array([s[4:] for s in members]).tobytes()
+
     def test_noiseless_recovery(self):
         # statistically: the ensemble mean should hover near the ground truth,
         # and each member solves a consistent 6x6 system (checked above); here
