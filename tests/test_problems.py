@@ -1,5 +1,7 @@
 """Benchmark problem generators, reference solvers, and gradient self-checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -16,6 +18,7 @@ from ssqpbench import (
     straight_line_path,
     usv_component_block,
 )
+import ssqpbench.problems as problems
 from ssqpbench.problems import InfeasibleToleranceError, load_regression_csv
 
 from kkt_oracle import solve_kkt_quadratic
@@ -80,7 +83,8 @@ class TestCurrentEnsemble:
         members = []
         for _ in range(n):
             xi = rng.standard_normal(2)
-            members.append(np.linalg.solve(system, np.concatenate([(1.0 + xi) * (w_true @ y + z_true) for y in positions])))
+            rhs = np.concatenate([(1.0 + xi) * (w_true @ y + z_true) for y in positions])
+            members.append(np.linalg.solve(system, rhs))
         w_list, z_list, _, _ = generate_current_ensemble(seed=seed, n=n)
         assert w_list.tobytes() == np.array([s[:4].reshape(2, 2) for s in members]).tobytes()
         assert z_list.tobytes() == np.array([s[4:] for s in members]).tobytes()
@@ -407,10 +411,6 @@ class TestReferenceSolvers:
         ids=["regression-seed11", "criterion5-quadratic", "criterion2-seed0"],
     )
     def test_brute_force_bytes_are_pinned(self, monkeypatch, build, gamma, tol, digest, solves):
-        import hashlib
-
-        import ssqpbench.problems as problems
-
         calls = []
         solve = problems.solve_canonical_qp
         monkeypatch.setattr(problems, "solve_canonical_qp", lambda *a, **k: calls.append(1) or solve(*a, **k))
