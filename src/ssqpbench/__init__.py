@@ -37,7 +37,6 @@ from .schedules import (
 from .algorithms import (
     DivergenceError,
     RunConfig,
-    RunTrace,
     SkipState,
     SsqpState,
     TraceRow,

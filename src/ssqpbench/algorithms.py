@@ -1,7 +1,7 @@
 """The three solver loops: SSQP, SSQP-Skip, and VARAS, plus the run instrumentation.
 
 Each loop consumes a ConstrainedProblem through the oracle helpers, builds a
-CanonicalQp per prox-linear step, and emits RunTrace checkpoints with SFO/QMO
+CanonicalQp per prox-linear step, and emits TraceRow checkpoints with SFO/QMO
 counts and optimality metrics.  Every loop, the primal-dual baseline included,
 runs on one ``_Run``: it owns the counters, the random streams, the divergence
 guard, the schedule check, the run's length and the checkpoint rule, and its
@@ -12,7 +12,7 @@ instrumentation and is never charged to the counters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ from .schedules import (
 __all__ = [
     "RunConfig",
     "TraceRow",
-    "RunTrace",
     "SsqpState",
     "SkipState",
     "DivergenceError",
@@ -63,7 +62,7 @@ _CHUNK = 4096
 class DivergenceError(RuntimeError):
     """Iterates exceeded the divergence guard; carries the partial trace and the run's counters."""
 
-    def __init__(self, message: str, trace: "RunTrace", counters: OracleCounters):
+    def __init__(self, message: str, trace: list[TraceRow], counters: OracleCounters):
         super().__init__(message)
         self.trace = trace
         self.counters = counters
@@ -86,14 +85,6 @@ class TraceRow:
     sum_viol: float
     dist_sq: float
     wall: float
-
-
-@dataclass
-class RunTrace:
-    rows: list[TraceRow] = field(default_factory=list)
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
 
 
 @dataclass
@@ -152,7 +143,7 @@ class _Run:
         self.problem = problem
         self.config = config
         self.counters = OracleCounters()
-        self.trace = RunTrace()
+        self.trace: list[TraceRow] = []
         batch_seed, coin_seed = np.random.SeedSequence(config.seed).spawn(2)
         self._batch_rng = np.random.default_rng(batch_seed)
         self._coin_rng = np.random.default_rng(coin_seed)
@@ -215,7 +206,7 @@ class _Run:
             dist_sq = float(diff @ diff)
         report = violation_report(self.problem, x)
         counters = self.counters
-        self.trace.rows.append(
+        self.trace.append(
             TraceRow(
                 iteration=step,
                 sfo=counters.sfo_calls,
@@ -311,7 +302,7 @@ def ssqp_step(
 
 def ssqp_run(
     problem: ConstrainedProblem, config: RunConfig
-) -> tuple[np.ndarray, np.ndarray, RunTrace, OracleCounters]:
+) -> tuple[np.ndarray, np.ndarray, list[TraceRow], OracleCounters]:
     """Run SSQP for config.horizon steps; returns (averaged, last, trace, counters)."""
     run = _Run(problem, config, SSQP_SCHEDULES)
     schedule = config.schedule
@@ -373,7 +364,7 @@ def ssqp_skip_step(
 
 def ssqp_skip_run(
     problem: ConstrainedProblem, config: RunConfig
-) -> tuple[np.ndarray, RunTrace, OracleCounters]:
+) -> tuple[np.ndarray, list[TraceRow], OracleCounters]:
     """Run SSQP-Skip for config.horizon steps; returns (last iterate, trace, counters).
 
     Each step draws its coin before its oracle call (the coin and batch
@@ -441,7 +432,7 @@ def varas_step(
 
 def varas_run(
     problem: ConstrainedProblem, config: RunConfig
-) -> tuple[np.ndarray, RunTrace, OracleCounters]:
+) -> tuple[np.ndarray, list[TraceRow], OracleCounters]:
     """Run VARAS for config.epochs epochs; returns (final snapshot, trace, counters).
 
     Each epoch takes one full gradient pass (n SFO) and keeps its per-component

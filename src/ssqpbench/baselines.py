@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .problem_model import ConstrainedProblem, OracleCounters, SfoSample, sfo_query
-from .algorithms import RunConfig, RunTrace, _Run
+from .algorithms import RunConfig, TraceRow, _Run
 from .schedules import _Schedule
 
 __all__ = ["PrimalDualState", "PrimalDualSchedule", "primal_dual_step", "primal_dual_run"]
@@ -74,7 +74,7 @@ def primal_dual_step(
 
 def primal_dual_run(
     problem: ConstrainedProblem, config: RunConfig
-) -> tuple[np.ndarray, RunTrace, OracleCounters]:
+) -> tuple[np.ndarray, list[TraceRow], OracleCounters]:
     """Run the baseline for config.horizon steps; returns (last iterate, trace, counters)."""
     run = _Run(problem, config, PRIMAL_DUAL_SCHEDULES)
     schedule = config.schedule

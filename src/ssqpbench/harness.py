@@ -14,8 +14,9 @@ import math
 import os
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -55,7 +56,12 @@ __all__ = [
     "slope_fit",
 ]
 
-TRACE_COLUMNS = ("iter", "sfo", "qmo", "gap", "rel_gap", "max_viol", "sum_viol", "dist_sq", "wall")
+# TraceRow's fields in order are the trace columns, ``iter`` naming ``iteration``: the
+# integer counts are written as they are and the floats with 17 significant digits
+_ROW_TYPES = get_type_hints(TraceRow)
+TRACE_COLUMNS = tuple("iter" if name == "iteration" else name for name in _ROW_TYPES)
+_ROW_FORMAT = ",".join("{}" if kind is int else "{:.17g}" for kind in _ROW_TYPES.values())
+_row_values = attrgetter(*_ROW_TYPES)
 OUTPUT_DIR_ENV = "SSQPBENCH_OUTPUT_DIR"
 
 # algorithm -> (its run function, looked up in this module when a seed runs;
@@ -75,8 +81,8 @@ _PROBLEMS = {
     "regression-file": "load_regression_csv",
     "quadratic": "random_quadratic_problem",
 }
-# trace columns that calls_to_threshold and slope_fit accept as ``metric``
-_METRICS = ("dist_sq", "gap", "rel_gap", "max_viol", "sum_viol")
+# trace columns that calls_to_threshold and slope_fit accept as ``metric``: every one after qmo but wall
+_METRICS = TRACE_COLUMNS[3:-1]
 
 
 class ConfigError(ValueError):
@@ -167,19 +173,10 @@ class BenchConfig:
 # Trace files
 
 
-def _format_value(value: float) -> str:
-    return f"{value:.17g}"
-
-
 def write_trace(path: str | Path, rows: list[TraceRow]) -> None:
     lines = [",".join(TRACE_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.iteration), str(r.sfo), str(r.qmo)]
-                + [_format_value(v) for v in (r.gap, r.rel_gap, r.max_viol, r.sum_viol, r.dist_sq, r.wall)]
-            )
-        )
+        lines.append(_ROW_FORMAT.format(*_row_values(r)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -192,19 +189,7 @@ def read_trace(path: str | Path) -> list[TraceRow]:
         parts = line.split(",")
         if len(parts) != len(TRACE_COLUMNS):
             raise ValueError(f"{path}: malformed trace row: {line!r}")
-        rows.append(
-            TraceRow(
-                iteration=int(parts[0]),
-                sfo=int(parts[1]),
-                qmo=int(parts[2]),
-                gap=float(parts[3]),
-                rel_gap=float(parts[4]),
-                max_viol=float(parts[5]),
-                sum_viol=float(parts[6]),
-                dist_sq=float(parts[7]),
-                wall=float(parts[8]),
-            )
-        )
+        rows.append(TraceRow(*[kind(part) for kind, part in zip(_ROW_TYPES.values(), parts)]))
     return rows
 
 
@@ -238,7 +223,12 @@ def build_problem(config: BenchConfig) -> tuple[ConstrainedProblem, np.ndarray]:
 
 
 def build_schedule(config: BenchConfig, problem: ConstrainedProblem):
-    """The configured schedule; ``as_dict`` output builds it back (derived keys are dropped)."""
+    """The configured schedule; ``as_dict`` output builds it back.
+
+    A derived key in the config must equal the value the schedule computes
+    from its fields, and SSQP-Skip needs a strongly convex problem; either
+    failure is a ``ConfigError``.
+    """
     spec = dict(config.schedule)
     kind = spec.pop("kind", None)
     cls = _SCHEDULES.get(kind) if isinstance(kind, str) else None
@@ -246,14 +236,20 @@ def build_schedule(config: BenchConfig, problem: ConstrainedProblem):
         raise ConfigError(f"unknown schedule kind {kind!r}")
     if cls not in _ALGORITHMS[config.algorithm][2]:
         raise ConfigError(f"algorithm {config.algorithm!r} cannot run a {kind!r} schedule")
-    for name in cls.derived:
-        spec.pop(name, None)
+    if config.algorithm == "ssqp-skip" and problem.strong_convexity <= 0:
+        raise ConfigError("SSQP-Skip requires a strongly convex problem (mu > 0)")
+    derived = {name: spec.pop(name) for name in cls.derived if name in spec}
     if cls is VarasSchedule:
         spec.setdefault("n", problem.n_components)
     try:
-        return cls(**spec)
+        schedule = cls(**spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad schedule parameters: {exc}") from exc
+    for name, value in derived.items():
+        computed = getattr(schedule, name)
+        if value != computed:
+            raise ConfigError(f"schedule key {name!r} is {value!r}, but the fields give {computed!r}")
+    return schedule
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +271,7 @@ def _run_seed(run, problem: ConstrainedProblem, run_cfg: RunConfig, path: Path):
         trace, counters, status, error = exc.trace, exc.counters, "diverged", exc
     except NonFiniteEvaluationError as exc:
         return ("non-finite", None, None), exc
-    write_trace(path, trace.rows)
+    write_trace(path, trace)
     return (status, path.name, (counters.qmo_nonconverged, counters.sfo_calls, counters.qmo_calls)), error
 
 
@@ -316,7 +312,6 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
         "config": config.to_dict(),
         "schedule_resolved": schedule.as_dict(),
         "checkpoint_stride_resolved": stride,
-        "gamma_provenance": config.gamma_provenance,
     }
     started = time.time()
 

@@ -235,10 +235,6 @@ class ResidualRegressionProblem:
     critical_idx: np.ndarray
     tolerance: float  # r
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
 
 class InfeasibleToleranceError(ValueError):
     """Requested residual cap r is below the minimal feasible value."""

@@ -30,7 +30,7 @@ class _Schedule:
 
     Each schedule names its config ``kind`` and the constants ``derived`` from
     its fields; ``as_dict`` lists the kind, the fields, then those constants,
-    and the harness drops the derived keys when it builds a schedule back.
+    and the harness checks the derived keys when it builds a schedule back.
     """
 
     kind: str

@@ -193,8 +193,8 @@ class TestAcceptance:
             )
             _, _, trace, _ = ssqp_run(problem, config)
             traces.append(trace)
-        iters = traces[0].column("iteration")
-        mean = np.mean([t.column(metric) for t in traces], axis=0)
+        iters = np.array([r.iteration for r in traces[0]])
+        mean = np.mean([[getattr(r, metric) for r in t] for t in traces], axis=0)
         return iters, mean
 
     @staticmethod
@@ -260,7 +260,7 @@ class TestAcceptance:
                 horizon=horizon, seed=seed, checkpoint_stride=200, x_star=x_star,
             )
             _, trace, counters = ssqp_skip_run(problem, config)
-            skip_rows.append(trace.rows)
+            skip_rows.append(trace)
             qmo_counts.append(counters.qmo_calls)
 
         baseline_sched = PrimalDualSchedule(eta_x=0.005, eta_lambda=0.002)
@@ -271,7 +271,7 @@ class TestAcceptance:
                 horizon=horizon, seed=seed, checkpoint_stride=200, x_star=x_star,
             )
             _, trace, _ = primal_dual_run(problem, config)
-            base_rows.append(trace.rows)
+            base_rows.append(trace)
 
         bound = np.sqrt(horizon + schedule.omega)
         mean_qmo = float(np.mean(qmo_counts))
@@ -330,7 +330,7 @@ class TestAcceptance:
                 seed=seed, checkpoint_stride=1, x_star=x_star, f_star=f_star,
             )
             _, trace, _ = varas_run(problem, config)
-            gap_runs.append(trace.column("gap")[1:])
+            gap_runs.append([r.gap for r in trace[1:]])
         gaps = np.mean(gap_runs, axis=0)
         s = np.arange(1, epochs + 1)
         # fit above the floating floor of the reference value
@@ -370,7 +370,7 @@ class TestAcceptance:
                 x_star=fx_star, f_star=ff_star,
             )
             _, trace, _ = varas_run(flat, config)
-            flat_runs.append(trace.column("gap")[1:])
+            flat_runs.append([r.gap for r in trace[1:]])
         flat_gaps = np.mean(flat_runs, axis=0)
         fmask = s > flat_sched.s0
         exponent, _ = np.polyfit(

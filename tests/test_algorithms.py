@@ -152,8 +152,8 @@ class TestSsqpRun:
             x0=np.zeros(3), horizon=60, checkpoint_stride=10,
         )
         _, _, trace, _ = ssqp_run(problem, config)
-        sfo = trace.column("sfo")
-        qmo = trace.column("qmo")
+        sfo = np.array([r.sfo for r in trace])
+        qmo = np.array([r.qmo for r in trace])
         assert np.all(np.diff(sfo) >= 0) and np.all(np.diff(qmo) >= 0)
 
     def test_divergence_guard(self):
@@ -198,8 +198,8 @@ class TestSsqpRun:
             x_star=np.array([3.0]), checkpoint_stride=50,
         )
         averaged, last, trace, _ = ssqp_run(problem, config)
-        assert trace.rows[-1].dist_sq == pytest.approx(float((averaged[0] - 3.0) ** 2))
-        assert trace.rows[-1].dist_sq != pytest.approx(float((last[0] - 3.0) ** 2))
+        assert trace[-1].dist_sq == pytest.approx(float((averaged[0] - 3.0) ** 2))
+        assert trace[-1].dist_sq != pytest.approx(float((last[0] - 3.0) ** 2))
 
     def test_requires_exactly_one_stopping_rule(self):
         with pytest.raises(ValueError):
@@ -443,11 +443,11 @@ class TestCheckpointRule:
         run, config, expected = checkpoint_case(algorithm, problem)
         out = run(problem, config)
         trace, counters = out[-2], out[-1]
-        assert trace.column("iteration").tolist() == expected
+        assert [r.iteration for r in trace] == expected
         # only Skip pays before row 0: one batch for its control variate y0
-        assert trace.rows[0].sfo == (1 if algorithm == "ssqp-skip" else 0)
-        assert trace.rows[0].qmo == 0
-        assert (trace.rows[-1].sfo, trace.rows[-1].qmo) == (counters.sfo_calls, counters.qmo_calls)
+        assert trace[0].sfo == (1 if algorithm == "ssqp-skip" else 0)
+        assert trace[0].qmo == 0
+        assert (trace[-1].sfo, trace[-1].qmo) == (counters.sfo_calls, counters.qmo_calls)
 
 
 def repelling_problem(k):
@@ -484,7 +484,7 @@ class TestEveryLoopGuard:
         with pytest.raises(DivergenceError) as err:
             run(repelling_problem(k), config)
         assert str(err.value) == f"iterate norm exceeded 1e+12 during {where}"
-        assert err.value.trace.column("iteration").tolist() == rows
+        assert [r.iteration for r in err.value.trace] == rows
 
     @pytest.mark.parametrize(
         "run, length",

@@ -104,7 +104,7 @@ class TestPrimalDualRun:
             x0=np.zeros(3), horizon=100, checkpoint_stride=10,
         )
         _, trace, _ = primal_dual_run(problem, config)
-        assert np.all(trace.column("qmo") == 0)
+        assert all(r.qmo == 0 for r in trace)
 
     def test_m0_coupled_seed_matches_prox_sgd(self):
         problem = random_quadratic_problem(seed=2, dim=4, n=10, m=0)

@@ -146,6 +146,25 @@ class TestRunTables:
         problem, _ = build_problem(cfg)
         assert build_schedule(cfg, problem) == schedule
 
+    @pytest.mark.parametrize(
+        "algorithm, schedule",
+        [
+            ("ssqp", SsqpConvexSchedule(horizon=50, delta0=2.0, sigma=0.3, smoothness=3.0, diminishing=True)),
+            ("ssqp", SsqpStronglyConvexSchedule(mu=0.7, smoothness=5.3)),
+            ("ssqp-skip", SkipSchedule(mu=0.7, smoothness=5.3, kickstart=2)),
+            ("varas", VarasSchedule(n=8, mu=0.4, smoothness_gamma=10.0)),
+        ],
+        ids=["eta0", "offset", "omega", "s0"],
+    )
+    def test_derived_key_that_differs_is_a_config_error(self, algorithm, schedule):
+        (name,) = schedule.derived
+        doc = schedule.as_dict()
+        doc[name] += 1
+        cfg = BenchConfig.from_dict(quadratic_config(algorithm=algorithm, epochs=2, schedule=doc))
+        problem, _ = build_problem(cfg)
+        with pytest.raises(ConfigError, match=f"schedule key {name!r}"):
+            build_schedule(cfg, problem)
+
     @pytest.mark.parametrize("kind", [["skip"], 3, None])
     def test_kind_that_is_not_a_name_is_a_config_error(self, kind):
         schedule = {"eta": 0.05} if kind is None else {"kind": kind, "eta": 0.05}
@@ -201,6 +220,15 @@ class TestTraceFiles:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            read_trace(path)
+
+    def test_row_with_a_missing_column_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(path, synthetic_rows(3))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="malformed trace row"):
             read_trace(path)
 
 
@@ -481,6 +509,9 @@ class TestCli:
             {"reference": [1, 2]},
             {"gamma_provenance": "certified", "slater": {"margin": "1", "gap": 1.0}},
             {"problem": {"kind": "quadratic", "seed": 1.5, "dim": 3, "n": 8, "m": 2}},
+            {"algorithm": "ssqp-skip", "schedule": {"kind": "skip", "mu": 0.5, "smoothness": 4.0, "omega": 5}},
+            {"algorithm": "ssqp-skip", "schedule": {"kind": "skip", "mu": 0.5, "smoothness": 4.0},
+             "problem": {"kind": "usv", "seed": 7, "n": 5, "horizon": 6}},
         ],
         ids=lambda o: json.dumps(o),
     )
@@ -490,6 +521,14 @@ class TestCli:
         assert cli_main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_run_from_metadata_reproduces_the_traces(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg = self.write_config(tmp_path, seeds=[0, 1], output_dir=str(first))
+        assert cli_main(["run", str(cfg)]) == 0
+        assert cli_main(["run", str(first / "metadata.json"), "--output-dir", str(second)]) == 0
+        for name in ("ssqp_seed0.csv", "ssqp_seed1.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     def test_unreadable_config_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "missing.json")]) == 2
@@ -548,6 +587,10 @@ class TestCli:
         assert cli_main(["report", str(out), "--threshold", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["mean_sfo"] == 8.0
+
+    def test_report_without_traces_exit_code(self, tmp_path, capsys):
+        assert cli_main(["report", str(tmp_path), "--threshold", "0.5"]) == 2
+        assert f"config error: no trace files in {tmp_path}" in capsys.readouterr().err
 
     def test_report_reads_only_the_traces_the_manifest_names(self, tmp_path, capsys):
         # a shorter rerun of seed 0 leaves seeds 1 and 2 of the older run in the directory

@@ -254,7 +254,7 @@ class TestLeanSfoQuery:
         _, trace, counters = ssqp_skip_run(problem, config)
         assert 0 < counters.qmo_calls < config.horizon
         # no f_star: each row evaluates the bundle once, for its violation columns
-        assert len(calls) == counters.qmo_calls + len(trace.rows)
+        assert len(calls) == counters.qmo_calls + len(trace)
 
 
 class TestOneIndexQuery:
