@@ -296,6 +296,8 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
     schedule = build_schedule(config, problem)
     run_name, length_field, _ = _ALGORITHMS[config.algorithm]
     length = getattr(config, length_field)
+    if length < 1:
+        raise ConfigError(f"{config.algorithm} needs {length_field} >= 1")
     stride = config.checkpoint_stride or max(1, math.ceil(length / 500))
     reference = config.reference or {}
     x_star = np.asarray(reference["x_star"], dtype=float) if "x_star" in reference else None
@@ -332,24 +334,19 @@ def run_experiment(config: BenchConfig, output_dir: Optional[str | Path] = None)
     first_error = None
     for seed in config.seeds:
         try:
-            if length == 0:
-                # degenerate metadata-only run: empty trace per seed
-                write_trace(paths[seed], [])
-                records[seed], error = ("ok", paths[seed].name, (0, 0, 0)), None
-            else:
-                run_cfg = RunConfig(
-                    gamma=config.gamma,
-                    schedule=schedule,
-                    x0=x0.copy(),
-                    batch_size=config.batch_size,
-                    seed=seed,
-                    checkpoint_stride=stride,
-                    x_star=x_star,
-                    f_star=f_star,
-                    cost_model_m=config.cost_model_m,
-                    **{length_field: length},
-                )
-                records[seed], error = _run_seed(globals()[run_name], problem, run_cfg, paths[seed])
+            run_cfg = RunConfig(
+                gamma=config.gamma,
+                schedule=schedule,
+                x0=x0.copy(),
+                batch_size=config.batch_size,
+                seed=seed,
+                checkpoint_stride=stride,
+                x_star=x_star,
+                f_star=f_star,
+                cost_model_m=config.cost_model_m,
+                **{length_field: length},
+            )
+            records[seed], error = _run_seed(globals()[run_name], problem, run_cfg, paths[seed])
         except BaseException:
             records[seed] = ("error", None, None)
             raise

@@ -22,13 +22,13 @@ nonnegative, so the dual-sign term is 0, and when mu is all zero (the
 prox-point shortcut) A^T mu and the hinges' complementarity add only zeros.
 The public ``kkt_residual`` computes every term from scratch; it is the
 reference the certificate equals bit for bit.  An answer that does not
-certify is returned with ``converged=False``; the dense enumeration oracle is
-a reference for tests and the benchmark, not a fallback.
+certify is returned with ``converged=False``.  ``dense_oracle_qp`` proves the
+optimum in exact rational arithmetic; it is a reference for tests and the
+benchmark, not a fallback.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -47,7 +47,6 @@ __all__ = [
     "qp_objective",
 ]
 
-_DENSE_LIMIT = 8
 # a one-row Schur system k*mu = b with |k| and |b| (or b = +-0) in this band is
 # one that LAPACK's dgelsd scales neither side of; its answer is then b * (1/k)
 _ONE_ROW_LO, _ONE_ROW_HI = 1e-280, 1e280
@@ -129,11 +128,6 @@ def _objective(qp: CanonicalQp, u: np.ndarray, diff: np.ndarray, r_max: Optional
     if r_max is not None:
         val += qp.hinge_weight * max(0.0, r_max)
     return val
-
-
-def _primal_from_dual(qp: CanonicalQp, mu: np.ndarray) -> np.ndarray:
-    shift = qp.linear if qp.m == 0 else qp.linear + qp.slopes.T @ mu
-    return qp.regularizer.prox(qp.anchor - shift / qp.rho, qp.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -321,56 +315,6 @@ def _least_squares(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(K, rhs, rcond=_EPS * len(rhs))[0]
 
 
-def _refine_pattern(qp: CanonicalQp, u: np.ndarray, mu: np.ndarray, pattern: np.ndarray) -> np.ndarray:
-    """One pattern move per coordinate: a pinned coordinate whose dual leaves its
-    interval moves towards the dual's side, a free one whose u leaves its face
-    moves towards u (the moves of ``_dual_active_set``, in vector form)."""
-    ulo, uhi, ylo, yhi = _faces(qp, pattern)
-    s = qp.rho * (u - qp.anchor) + qp.linear
-    if qp.m:
-        s = s + qp.slopes.T @ mu
-    free = ulo < uhi
-    up = np.where(free, u > uhi, s < ylo)
-    down = np.where(free, u < ulo, s > yhi)
-    return pattern + up - down
-
-
-def _pattern_iteration(
-    qp: CanonicalQp,
-    active: np.ndarray,
-    v_positive: bool,
-    pattern0: np.ndarray,
-    max_rounds: int = 30,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Alternate exact pattern solves (``_solve_full_pattern_system``) and pattern
-    refinement for ``max_rounds`` rounds.
-
-    Returns the solution of the last pattern visited.  The solve-then-refine
-    map is deterministic, so once a pattern repeats the remaining rounds only
-    go round a cycle (a fixed point is a cycle of length 1).  The loop then
-    stops and returns the already solved pattern that the full ``max_rounds``
-    loop would end on: visit index ``first + (max_rounds - first) % length``,
-    where the cycle starts at visit ``first``.  The result is bit-for-bit that
-    of the full loop.
-    """
-    solved = [_solve_full_pattern_system(qp, active, v_positive, pattern0)]
-    seen = {pattern0.tobytes(): 0}
-    pattern = pattern0
-    for _ in range(max_rounds):
-        u, mu, _ = solved[-1]
-        pattern = _refine_pattern(qp, u, mu, pattern)
-        first = seen.setdefault(pattern.tobytes(), len(solved))
-        if first < len(solved):
-            u, mu, v = solved[first + (max_rounds - first) % (len(solved) - first)]
-            break
-        solved.append(_solve_full_pattern_system(qp, active, v_positive, pattern))
-    else:
-        u, mu, v = solved[-1]
-    if isinstance(qp.regularizer, BoxIndicator):
-        u = np.clip(u, qp.regularizer.lower, qp.regularizer.upper)
-    return u, mu, v
-
-
 def _assemble(qp: CanonicalQp, u, mu, v, active, r: Optional[np.ndarray] = None) -> QpSolution:
     """Candidate solution, certified in one pass over the hinge values r at u.
 
@@ -442,7 +386,7 @@ def solve_canonical_qp(
     if not (0 < tol <= 1e-4):
         raise ValueError("tol must lie in (0, 1e-4]")
     m = qp.m
-    # _primal_from_dual(qp, np.zeros(m)) bit for bit: A^T 0 is +0.0 in every entry
+    # the prox point w - (l + A^T 0) / rho, bit for bit: A^T 0 is +0.0 in every entry
     u0 = qp.regularizer.prox(qp.anchor - (qp.linear + _ZERO if m else qp.linear) / qp.rho, qp.rho)
     r0 = qp.offsets + qp.slopes @ u0
     hinge0 = max(0.0, float(np.maximum.reduce(r0))) if m else 0.0
@@ -548,7 +492,8 @@ def _dual_active_set(
                     alpha, leaving = min((alpha, leaving), (float(c / -dc), m))
         if coords:
             dy = qp.slopes.T @ step if ray else qp.rho * (u - qp.anchor) + qp.linear + qp.slopes.T @ mu_t - y
-            bounded = (ylo < yhi).nonzero()[0]
+            # the pinned faces; an L1 zero face of weight 0 has y in [-0.0, 0.0]
+            bounded = (ulo == uhi).nonzero()[0]
             cy, dcy = np.where(dy > 0.0, yhi - y, y - ylo)[bounded], -np.abs(dy[bounded])
             alpha, leaving = min((alpha, leaving), _min_ratio(cy, dcy, m + 1 + bounded, ray, eps))
         if alpha < np.inf:
@@ -609,162 +554,142 @@ def _dual_active_set(
     return sol
 
 
+
+
 # ---------------------------------------------------------------------------
-# Dense enumeration oracle (a reference for the tests and the benchmark)
+# Exact oracle (a reference for the tests and the benchmark)
 
 
-def _solve_full_pattern_system(
-    qp: CanonicalQp,
-    active: np.ndarray,
-    v_positive: bool,
-    pattern: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unreduced counterpart of ``_solve_pattern_system``, the oracle's kernel.
-
-    Least squares on the full (free + active + [v > 0])-square KKT system in
-    (u_F, mu, v), without eliminating u_F; slower, but it shares no algebra
-    with the solver's kernel.
-    """
-    d = qp.dim
-    na = len(active)
-    ulo, uhi, ylo, _ = _faces(qp, pattern)
-    free = ulo < uhi
-    fixed = ~free
-    nf = int(free.sum())
-    nv = 1 if v_positive else 0
-    n_unknown = nf + na + nv
-
-    M = np.zeros((n_unknown, n_unknown))
-    rhs = np.zeros(n_unknown)
-    A_act = qp.slopes[active] if na else np.empty((0, d))
-
-    # stationarity in the free coordinates
-    M[:nf, :nf] = qp.rho * np.eye(nf)
-    if na:
-        M[:nf, nf : nf + na] = A_act[:, free].T
-    rhs[:nf] = qp.rho * qp.anchor[free] - qp.linear[free] + ylo[free]
-
-    # active hinges hold with equality: A_k u - v = -b_k
-    if na:
-        M[nf : nf + na, :nf] = A_act[:, free]
-        if v_positive:
-            M[nf : nf + na, nf + na] = -1.0
-        rhs[nf : nf + na] = -qp.offsets[active]
-        if fixed.any():
-            rhs[nf : nf + na] -= A_act[:, fixed] @ ulo[fixed]
-
-    # stationarity in v when v > 0: sum of hinge duals equals Gamma
-    if v_positive:
-        M[nf + na, nf : nf + na] = 1.0
-        rhs[nf + na] = qp.hinge_weight
-
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    u = ulo.copy()
-    u[free] = sol[:nf]
-    mu = np.zeros(qp.m)
-    if na:
-        mu[active] = sol[nf : nf + na]
-    v = float(sol[nf + na]) if v_positive else 0.0
-    return u, mu, v
-
-
-def _restricted_dual_seed(
-    qp: CanonicalQp, active: np.ndarray, v_positive: bool, iters: int = 300
-) -> Optional[np.ndarray]:
-    """Near-minimizer of the problem restricted to hinge set ``active``.
-
-    The restricted problem keeps only the equality-held hinges; the epigraph
-    variable is eliminated through the first active row when v > 0.  Gradient
-    ascent on the (free-sign) equality multipliers is provably convergent and
-    supplies a coordinate-pattern seed for the exact polish step.
-    """
-    extra = np.zeros(qp.dim)
-    if v_positive:
-        k0 = active[0]
-        extra = qp.hinge_weight * qp.slopes[k0]
-        rows = active[1:]
-        E = qp.slopes[rows] - qp.slopes[k0]
-        dvec = qp.offsets[k0] - qp.offsets[rows]
-    else:
-        E = qp.slopes[active]
-        dvec = -qp.offsets[active]
-    if len(E) == 0:
-        return qp.regularizer.prox(qp.anchor - (qp.linear + extra) / qp.rho, qp.rho)
-    lip = float(np.linalg.norm(E, 2)) ** 2 / qp.rho
-    if lip == 0.0:
+def _gauss_jordan(rows: list, n: int) -> Optional[list]:
+    """Solve the augmented rows ``[M | rhs]`` of Fractions in place; an unknown
+    whose column has no pivot is 0.  None when the rows have no solution."""
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        scale = rows[r][c]
+        pivot = rows[r] = [a / scale for a in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [a - f * q if q else a for a, q in zip(row, pivot)]
+        pivots.append(c)
+    # the rows below the pivots have zero coefficients, so a nonzero rhs there reads 0 = rhs
+    if any(row[n] for row in rows[len(pivots):]):
         return None
-    step = 1.0 / lip
-    lam = np.zeros(len(E))
-    prev = lam
-    t_acc = 1.0
-    u = qp.anchor
-    for _ in range(iters):
-        mom = lam + ((t_acc - 1.0) / (0.5 * (1 + np.sqrt(1 + 4 * t_acc * t_acc)))) * (lam - prev)
-        t_acc = 0.5 * (1 + np.sqrt(1 + 4 * t_acc * t_acc))
-        u = qp.regularizer.prox(qp.anchor - (qp.linear + extra + E.T @ mom) / qp.rho, qp.rho)
-        prev = lam
-        lam = mom + step * (E @ u - dvec)
-    return u
+    solved = {c: row[n] for c, row in zip(pivots, rows)}
+    return [solved.get(c, 0) for c in range(n)]
 
 
 def dense_oracle_qp(qp: CanonicalQp) -> QpSolution:
-    """Globally optimal solution by exhaustive active-set enumeration.
+    """The exact optimum, proved in rational arithmetic.
 
-    Enumerates every hinge subset and epigraph case, solving each restricted
-    problem exactly (an inner fixed-point on the box/l1 coordinate pattern).
-    It keeps the candidate with the smallest canonical objective; among
-    candidates whose objectives agree to rounding (relative 1e-12) it keeps
-    the one with the smallest KKT residual, so that the returned (mu, v) are
-    the duals of a candidate that certifies when any tied candidate does.  If
-    the winner fails to certify (KKT residual above 1e-9), the enumeration is
-    repeated with dual-ascent pattern seeds for every subset, which handles
-    the coordinate patterns the fixed-point seeds can miss; restricted
-    problems already solved in the first pass are not solved again.  The
-    optimal u does not depend on this; the duals do, and on rare instances
-    neither pass finds a candidate that certifies, so check ``kkt_residual``
-    before relying on (mu, v).  Exponential in m; restricted to m <= 8 and
-    d <= 8.
+    The QP is strongly convex (rho > 0), so its KKT conditions are sufficient
+    and the optimum is unique (Nocedal & Wright ch. 16); every float is an
+    exact rational.  The oracle reads a structure from ``solve_canonical_qp``'s
+    answer: the working set S, the cap sum mu = Gamma (held when v > 0 and S is
+    not empty) and each coordinate's face (pinned at a Box bound or at an L1
+    zero, else free with the sign of u).  It solves that structure's KKT
+    equations, u_F = w_F - (l_F + weight * sign_F + A_{S,F}^T mu) / rho,
+    b_k + a_k . u = v on S, and sum mu = Gamma if capped or else v = 0, by
+    Gauss--Jordan elimination over Fractions (v = max(0, max hinge) when S is
+    empty).  Every KKT inequality is then checked exactly; the first that fails
+    becomes one move (a hinge leaves or joins, the cap flips, a coordinate is
+    pinned or freed) and the structure is solved again.  A system with no
+    solution (dependent hinges) first releases v, then drops a working hinge.
+    The answer holds the floats of the exact optimum; ``ValueError`` names the
+    condition still failing after 4 (m + d + 1) moves.  No solver kernel is
+    shared: the solver's answer is only the first guess.
     """
-    if qp.m > _DENSE_LIMIT or qp.dim > _DENSE_LIMIT:
-        raise ValueError(f"dense oracle limited to m, d <= {_DENSE_LIMIT}")
-    u0 = _primal_from_dual(qp, np.zeros(qp.m))
-    if qp.m == 0 or qp.hinge_weight == 0.0:
-        v0 = max(0.0, float((qp.offsets + qp.slopes @ u0).max())) if qp.m else 0.0
-        return _assemble(qp, u0, np.zeros(qp.m), v0, np.empty(0, dtype=int))
+    from fractions import Fraction  # here, so that importing the package loads only NumPy
 
-    # (subset, v_pos, seed bytes) -> (objective, u, mu, v, act), None if not finite
-    solved: dict[tuple, Optional[tuple]] = {}
-
-    def enumerate_candidates(seed_fn) -> QpSolution:
-        keys: dict[tuple, None] = {}  # this pass's restricted problems, in order
-        for size in range(qp.m + 1):
-            for subset in itertools.combinations(range(qp.m), size):
-                act = np.asarray(subset, dtype=int)
-                v_cases = [False] if size == 0 else [False, True]
-                for v_pos in v_cases:
-                    for seed in seed_fn(act, v_pos):
-                        key = (subset, v_pos, seed.tobytes())
-                        if key not in solved:
-                            u, mu, v = _pattern_iteration(qp, act, v_pos, seed)
-                            finite = np.all(np.isfinite(u))
-                            solved[key] = (qp_objective(qp, u), u, mu, v, act) if finite else None
-                        keys[key] = None
-        found = [solved[key] for key in keys if solved[key] is not None]
-        best_obj = min(cand[0] for cand in found)
-        cutoff = best_obj + 1e-12 * max(1.0, abs(best_obj))
-        tied = [_assemble(qp, *cand[1:]) for cand in found if cand[0] <= cutoff]
-        return min(tied, key=lambda sol: sol.kkt_residual)
-
-    fixed_seeds = [_coordinate_pattern(qp, u0, 1e-12), np.zeros(qp.dim, dtype=int)]
-    sol = enumerate_candidates(lambda act, v_pos: fixed_seeds)
-    if sol.kkt_residual <= 1e-9:
-        return sol
-
-    def dual_seeds(act, v_pos):
-        u_near = _restricted_dual_seed(qp, act, v_pos)
-        if u_near is None:
-            return fixed_seeds
-        return fixed_seeds + [_coordinate_pattern(qp, u_near, 1e-7)]
-
-    refined_sol = enumerate_candidates(dual_seeds)
-    return refined_sol if refined_sol.objective <= sol.objective else sol
+    start = solve_canonical_qp(qp)
+    m, d, reg = qp.m, qp.dim, qp.regularizer
+    rho, gamma, zero, one = Fraction(qp.rho), Fraction(qp.hinge_weight), Fraction(0), Fraction(1)
+    w, l, b = ([Fraction(x) for x in a.tolist()] for a in (qp.anchor, qp.linear, qp.offsets))
+    A = [[Fraction(x) for x in row] for row in qp.slopes.tolist()]
+    box, l1 = isinstance(reg, BoxIndicator), isinstance(reg, L1)
+    weight = Fraction(reg.weight) if l1 else zero
+    lower, upper = (reg.lower.tolist(), reg.upper.tolist()) if box else ((), ())
+    # each coordinate is pinned at a value, or free (None) with the sign its L1 term takes;
+    # an L1 coordinate counts as 0 within the residual's face tolerance
+    pin, sign = [None] * d, [0] * d
+    for i, x in enumerate(start.u.tolist()):
+        if box and x in (lower[i], upper[i]):  # the solver clips, so lower == upper lands here
+            pin[i] = Fraction(x)
+        elif l1:
+            pin[i], sign[i] = (zero, 0) if abs(x) <= 1e-9 else (None, 1 if x > 0.0 else -1)
+    work, capped, released, joined = list(start.active_set), start.v > 0 and bool(start.active_set), None, None
+    limit = 4 * (m + d + 1)
+    for _ in range(limit + 1):
+        capped = capped and bool(work)
+        free = [i for i in range(d) if pin[i] is None]
+        nf, ns = len(free), len(work)
+        n = nf + ns + capped
+        rows = []  # unknowns (u_F, mu_S, v if capped)
+        for p, i in enumerate(free):
+            row = [zero] * p + [rho] + [zero] * (nf - p - 1) + [A[k][i] for k in work] + [zero] * capped
+            rows.append(row + [rho * w[i] - l[i] - weight * sign[i]])
+        for k in work:
+            held = sum(A[k][i] * pin[i] for i in range(d) if pin[i] is not None)
+            rows.append([A[k][i] for i in free] + [zero] * ns + [-one] * capped + [-b[k] - held])
+        if capped:
+            rows.append([zero] * nf + [one] * ns + [zero, gamma])
+        x = _gauss_jordan(rows, n)
+        if x is None:
+            failure = f"the equations of working hinges {work} have no solution"
+            if capped or released == work:  # the hinge that joined last stays, or the two would swap for ever
+                work.remove(min([k for k in work if k != joined] or work, key=lambda k: start.mu[k]))
+            else:  # once per working set, or v < 0 would flip the cap back for ever
+                capped, released = True, list(work)
+            continue
+        values = iter(x)  # u_F in coordinate order, then mu_S in working-set order
+        u = [next(values) if p is None else p for p in pin]
+        mu_work = dict(zip(work, values))
+        mu = [mu_work.get(k, zero) for k in range(m)]
+        hinge = [b[k] + sum(a * ui for a, ui in zip(A[k], u)) for k in range(m)]
+        v = x[-1] if capped else zero if work else max([zero, *hinge])
+        dual_v = gamma - sum(mu)
+        top = max(range(m), key=hinge.__getitem__, default=None)
+        negative = [k for k in work if mu[k] < 0]
+        if negative:
+            failure = f"hinge {negative[0]} has dual {float(mu[negative[0]])!r} < 0"
+            work.remove(negative[0])
+            continue
+        if v < 0 or dual_v < 0:
+            failure = f"v = {float(v)!r} < 0" if v < 0 else f"Gamma - sum mu = {float(dual_v)!r} < 0"
+            capped = not capped
+            continue
+        if top is not None and (hinge[top] > v or (not work and v > 0 and dual_v > 0)):
+            failure = f"hinge {top} = {float(hinge[top])!r} is above v = {float(v)!r} or unpaid"
+            work, joined = sorted(work + [top]), top
+            continue
+        y = [rho * (u[i] - w[i]) + l[i] + sum(A[k][i] * mu[k] for k in work) for i in range(d)]
+        failure = None
+        for i in range(d):
+            if box and pin[i] is None and not lower[i] <= u[i] <= upper[i]:
+                failure = f"coordinate {i} = {float(u[i])!r} is outside its box"
+                pin[i] = Fraction(lower[i] if u[i] < lower[i] else upper[i])
+            elif box and pin[i] is not None and lower[i] < upper[i] and (y[i] > 0 if pin[i] == upper[i] else y[i] < 0):
+                failure = f"coordinate {i}'s dual {float(y[i])!r} has the wrong sign at its bound"
+                pin[i] = None
+            elif l1 and pin[i] is not None and abs(y[i]) > weight:
+                failure = f"coordinate {i}'s dual {float(y[i])!r} exceeds the L1 weight at 0"
+                pin[i], sign[i] = None, -1 if y[i] > 0 else 1
+            elif l1 and pin[i] is None and u[i] * y[i] > 0:
+                failure = f"coordinate {i} = {float(u[i])!r} has the wrong sign"
+                pin[i], sign[i] = zero, 0
+            if failure:
+                break
+        if failure is None:
+            # v = max(0, max hinge) here, so Gamma * v is the hinge term
+            obj = rho / 2 * sum((ui - wi) ** 2 for ui, wi in zip(u, w)) + sum(li * ui for li, ui in zip(l, u))
+            obj += weight * sum(map(abs, u)) + gamma * v
+            sol = QpSolution(u=np.array(u, dtype=float), v=float(v), mu=np.array(mu, dtype=float),
+                             dual_v=float(dual_v), kkt_residual=0.0, active_set=tuple(work), objective=float(obj))
+            sol.kkt_residual = kkt_residual(qp, sol)
+            return sol
+    raise ValueError(f"exact oracle: no structure certifies after {limit} moves; last failure: {failure}")

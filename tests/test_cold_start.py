@@ -1,8 +1,9 @@
 """Import footprint: SciPy's optimizer loads only when a regression instance
-whose critical rows cannot be interpolated is built.
+whose critical rows cannot be interpolated is built, and ``fractions`` only
+when the exact QP oracle runs.
 
-The check runs in a fresh interpreter, because other test modules import
-SciPy themselves.
+The checks run in a fresh interpreter, because other test modules import
+SciPy and ``fractions`` themselves.
 """
 
 import subprocess
@@ -75,3 +76,25 @@ def test_scipy_optimize_loads_only_for_a_regression_build(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "footprint ok"
+
+
+FRACTIONS_SCRIPT = r"""
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import ssqpbench
+
+assert "fractions" not in sys.modules, "import ssqpbench loads fractions"
+qp = ssqpbench.CanonicalQp(rho=1.0, anchor=[0.0], linear=[0.0], regularizer=ssqpbench.Zero(),
+                           hinge_weight=10.0, offsets=[1.0], slopes=[[-1.0]])
+assert ssqpbench.dense_oracle_qp(qp).u.tolist() == [1.0]
+assert "fractions" in sys.modules, "the exact oracle imports it"
+print("fractions ok")
+"""
+
+
+def test_fractions_loads_only_for_the_exact_oracle():
+    done = subprocess.run([sys.executable, "-c", FRACTIONS_SCRIPT, str(SRC)], capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "fractions ok"

@@ -266,13 +266,6 @@ class TestRunExperiment:
             tmp_path / "b" / "ssqp_seed0.csv"
         ).read_bytes()
 
-    def test_degenerate_horizon_gives_empty_trace(self, tmp_path):
-        cfg = BenchConfig.from_dict(quadratic_config(horizon=0))
-        meta = run_experiment(cfg, output_dir=tmp_path)
-        rows = read_trace(tmp_path / meta["trace_files"]["0"])
-        assert rows == []
-        assert (tmp_path / "metadata.json").exists()
-
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "redirected"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
@@ -398,7 +391,7 @@ class TestSlopeFit:
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError):
             slope_fit(synthetic_rows(9), "gap")
-        # a header-only trace, as a horizon-0 run writes
+        # a header-only trace
         with pytest.raises(ValueError, match="need at least 10 checkpoint rows"):
             slope_fit([], "gap")
 
@@ -520,6 +513,17 @@ class TestCli:
         cfg = self.write_config(tmp_path, output_dir=str(out), **overrides)
         assert cli_main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_without_a_horizon_is_a_config_error(self, tmp_path, capsys):
+        # a config that omits horizon once ran no step, wrote a header-only trace and exited 0
+        out = tmp_path / "out"
+        doc = quadratic_config(output_dir=str(out))
+        del doc["horizon"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["run", str(path)]) == 2
+        assert "config error: ssqp needs horizon >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_from_metadata_reproduces_the_traces(self, tmp_path):

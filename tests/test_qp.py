@@ -13,6 +13,7 @@ from ssqpbench import (
     L1,
     BoxIndicator,
     CanonicalQp,
+    QpSolution,
     Zero,
     dense_oracle_qp,
     kkt_residual,
@@ -21,13 +22,8 @@ from ssqpbench import (
 )
 import ssqpbench.qp_subproblem as qp_subproblem
 from ssqpbench.qp_subproblem import (
-    _coordinate_pattern,
     _faces,
     _least_squares,
-    _pattern_iteration,
-    _primal_from_dual,
-    _refine_pattern,
-    _solve_full_pattern_system,
     _solve_pattern_system,
 )
 
@@ -68,6 +64,11 @@ def random_regularizer(rng, d):
     return L1(weight=float(rng.uniform(0.0, 2.0)))
 
 
+def zero_dual_prox_point(qp):
+    """The minimizer without the hinge: w - (l + A^T 0) / rho through the regularizer's prox."""
+    return qp.regularizer.prox(qp.anchor - (qp.linear + qp.slopes.T @ np.zeros(qp.m)) / qp.rho, qp.rho)
+
+
 def duality_gap(qp, u, mu):
     """P(u) - D(mu) for the canonical QP, an error bound that shares no kernel with the solver.
 
@@ -86,36 +87,6 @@ def duality_gap(qp, u, mu):
     diff = u_mu - qp.anchor
     dual = float(mu @ qp.offsets) + 0.5 * qp.rho * float(diff @ diff) + float(shift @ u_mu)
     return qp_objective(qp, u) - (dual + qp.regularizer.value(u_mu))
-
-
-def cycling_box_instance():
-    """Box instance (d=6, m=3) whose coordinate-pattern iteration cycles.
-
-    Instance 4 of the criterion-1 stream ``default_rng(2024)``.
-    """
-    return CanonicalQp(
-        rho=2.1535938104579806,
-        anchor=np.array([1.9735553403293085, 0.09906791154843822, 0.5382077472406755,
-                         0.6630316327280554, 1.0556415438104036, -0.23751636353283292]),
-        linear=np.array([-0.6101975720154739, -0.059613974391862584, -0.26081938409702304,
-                         0.7906767161489346, 0.1896104030769387, 0.2392704544306721]),
-        regularizer=BoxIndicator(
-            lower=np.array([-1.159399678204241, -1.193106267809812, -0.11211436661249774,
-                            -1.9035752427081445, -1.3478524189708998, -0.9621373388617145]),
-            upper=np.array([0.8367357170058454, -0.5873685022498789, 0.9910276182988074,
-                            -1.267934383956834, -0.8285255205842058, 0.343107127340718]),
-        ),
-        hinge_weight=1.3481885876743138,
-        offsets=np.array([1.2283676805724408, -0.5426271806747859, -0.4783561223374009]),
-        slopes=np.array([
-            [0.885130796232711, -0.10641011004975655, 0.36087808534664895,
-             -0.7289883307524213, 0.023331107517175056, 0.4318338284071015],
-            [-1.3274366057127434, -0.6949340684151928, 0.4230625681693494,
-             2.248808075105902, 0.4622860020006555, -0.058919583651991944],
-            [-0.8452112239256144, 0.3916259358397935, -2.5014067590171156,
-             -0.049529303003866015, -0.33014465543930227, -0.5194129145674927],
-        ]),
-    )
 
 
 def tied_box_instance():
@@ -176,6 +147,16 @@ class TestClosedFormCases:
         sol = solve_canonical_qp(make_qp(rho=1e6, anchor=[1e6], linear=[1.234567891e11]))
         assert sol.kkt_residual > 1e-5
         assert sol.converged is False
+
+    def test_l1_weight_zero_leaves_the_zero_face(self):
+        # with weight 0 the zero face's dual interval is [-0.0, 0.0], and the
+        # ratio test must still see it: the loop once kept u = 0 (residual 1.0)
+        # where the Zero regularizer gives the optimum u = -1, v = 1
+        qp = make_qp(regularizer=L1(weight=0.0), gamma=1.0, offsets=[2.0], slopes=[[1.0]])
+        sol = solve_canonical_qp(qp)
+        assert sol.converged is True
+        np.testing.assert_allclose(sol.u, [-1.0], rtol=0, atol=1e-12)
+        assert sol.v == pytest.approx(1.0, abs=1e-12)
 
     def test_slack_hinge_equals_prox(self):
         # hinge strictly inactive at the unconstrained point
@@ -257,11 +238,6 @@ class TestDenseOracle:
         sol = dense_oracle_qp(make_qp(gamma=10.0, offsets=[1.0], slopes=[-1.0]))
         assert sol.u[0] == pytest.approx(1.0, abs=1e-9)
 
-    def test_size_limit(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError):
-            dense_oracle_qp(random_instance(rng, d=9, m=2, regularizer=Zero()))
-
     def test_coinciding_box_faces_agree_with_solver(self):
         # the second coordinate is pinned by lower == upper whatever its
         # pattern says, so the oracle may not free it when its dual turns
@@ -284,45 +260,6 @@ class TestDenseOracle:
         sol = dense_oracle_qp(qp)
         assert sol.kkt_residual <= 1e-9
         assert sol.objective == pytest.approx(solve_canonical_qp(qp).objective, abs=1e-12)
-
-
-class TestPatternIteration:
-    @staticmethod
-    def capped_loop(qp, active, v_positive, pattern, max_rounds):
-        """Refine/solve for max_rounds rounds or until a fixed point.
-
-        Also reports whether a pattern other than a fixed point came round again.
-        """
-        u, mu, v = _solve_full_pattern_system(qp, active, v_positive, pattern)
-        visited = [pattern.tobytes()]
-        for _ in range(max_rounds):
-            new = _refine_pattern(qp, u, mu, pattern)
-            if np.array_equal(new, pattern):
-                break
-            pattern = new
-            visited.append(pattern.tobytes())
-            u, mu, v = _solve_full_pattern_system(qp, active, v_positive, pattern)
-        u = np.clip(u, qp.regularizer.lower, qp.regularizer.upper)
-        return (u, mu, v), len(set(visited)) < len(visited)
-
-    @pytest.mark.parametrize("max_rounds", [30, 31, 7])
-    def test_cycle_shortcut_matches_capped_loop(self, max_rounds):
-        qp = cycling_box_instance()
-        u0 = _primal_from_dual(qp, np.zeros(qp.m))
-        seeds = [_coordinate_pattern(qp, u0, 1e-12), np.zeros(qp.dim, dtype=int)]
-        cycling_runs = 0
-        for size in range(qp.m + 1):
-            for subset in itertools.combinations(range(qp.m), size):
-                active = np.asarray(subset, dtype=int)
-                for v_positive in ([False] if size == 0 else [False, True]):
-                    for seed in seeds:
-                        got = _pattern_iteration(qp, active, v_positive, seed, max_rounds)
-                        want, cycled = self.capped_loop(qp, active, v_positive, seed, max_rounds)
-                        cycling_runs += cycled
-                        assert got[0].tobytes() == want[0].tobytes()
-                        assert got[1].tobytes() == want[1].tobytes()
-                        assert got[2] == want[2]
-        assert cycling_runs > 0
 
 
 def pattern_solve(qp, active, v_positive, pattern):
@@ -463,6 +400,122 @@ def coupled_hinges_qp(anchor):
     """
     return make_qp(anchor=anchor, linear=(0.0, 0.0), gamma=10.0, offsets=[1.0, -0.5],
                    slopes=[[-1.0, 0.0], [1.0, -1.0]])
+
+
+def start_answer(u, active_set=(), v=0.0, mu=()):
+    """A solver answer read only for its structure: u, v, the working set and (for a drop) mu."""
+    return QpSolution(u=np.asarray(u, dtype=float), v=v, mu=np.asarray(mu, dtype=float), dual_v=0.0,
+                      kkt_residual=np.inf, active_set=tuple(active_set), objective=np.nan, converged=False)
+
+
+UNIT_BOX = BoxIndicator(lower=np.array([-1.0]), upper=np.array([1.0]))
+
+
+class TestExactOracleMoves:
+    """Each kind of move the exact oracle makes, from a wrong answer patched in as the solver's."""
+
+    @staticmethod
+    def oracle(monkeypatch, qp, start):
+        """dense_oracle_qp(qp) started from ``start``; returns the answer and its number of moves."""
+        solves = []
+        gauss_jordan = qp_subproblem._gauss_jordan
+
+        def counting(rows, n):
+            solves.append(n)
+            return gauss_jordan(rows, n)
+
+        monkeypatch.setattr(qp_subproblem, "solve_canonical_qp", lambda qp: start)
+        monkeypatch.setattr(qp_subproblem, "_gauss_jordan", counting)
+        sol = dense_oracle_qp(qp)
+        assert sol.kkt_residual <= 1e-15
+        return sol, len(solves) - 1
+
+    def test_leave(self, monkeypatch):
+        # hinge u <= 1 is slack at the optimum u = 0; held at u = 1 it needs mu = -1
+        qp = make_qp(gamma=10.0, offsets=[-1.0], slopes=[1.0])
+        sol, moves = self.oracle(monkeypatch, qp, start_answer([1.0], active_set=(0,), mu=[1.0]))
+        assert moves == 1 and sol.active_set == () and sol.u.tolist() == [0.0] and sol.v == 0.0
+
+    @pytest.mark.parametrize(
+        "qp, start, u, active_set",
+        [
+            # hinge 1 is above v = 0 once hinge 0 holds alone
+            (coupled_hinges_qp((0.0, 0.0)), start_answer([1.0, 0.0], active_set=(0,), mu=[1.0, 0.0]),
+             [1.0, 0.5], (0, 1)),
+            # with no working hinge v = 1 > 0 is paid at Gamma = 10
+            (make_qp(gamma=10.0, offsets=[1.0], slopes=[-1.0]), start_answer([0.0], v=1.0, mu=[0.0]), [1.0], (0,)),
+        ],
+        ids=["above_v", "unpaid"],
+    )
+    def test_join(self, monkeypatch, qp, start, u, active_set):
+        sol, moves = self.oracle(monkeypatch, qp, start)
+        assert moves == 1 and sol.active_set == active_set and sol.u.tolist() == u and sol.v == 0.0
+
+    @pytest.mark.parametrize(
+        "gamma, start_v, u, v",
+        # sum mu = 1 > Gamma = 0.5 caps the duals; at Gamma = 10 the cap gives v = -9 and is released
+        [(0.5, 0.0, 0.5, 0.5), (10.0, 0.5, 1.0, 0.0)],
+        ids=["sum_mu_above_gamma", "v_negative"],
+    )
+    def test_cap(self, monkeypatch, gamma, start_v, u, v):
+        qp = make_qp(gamma=gamma, offsets=[1.0], slopes=[-1.0])
+        sol, moves = self.oracle(monkeypatch, qp, start_answer([1.0 - start_v], active_set=(0,), v=start_v, mu=[1.0]))
+        assert moves == 1 and sol.u.tolist() == [u] and sol.v == v and sol.mu.tolist() == [min(gamma, 1.0)]
+
+    @pytest.mark.parametrize(
+        "reg, anchor, start, u",
+        # pinned at the upper bound with y = 0.5 > 0; pinned at 0 with |y| = 2 > the weight 0.5
+        [(UNIT_BOX, 0.5, 1.0, 0.5), (L1(0.5), 2.0, 0.0, 1.5)],
+        ids=["box", "l1"],
+    )
+    def test_free(self, monkeypatch, reg, anchor, start, u):
+        sol, moves = self.oracle(monkeypatch, make_qp(anchor=[anchor], regularizer=reg), start_answer([start]))
+        assert moves == 1 and sol.u.tolist() == [u]
+
+    @pytest.mark.parametrize(
+        "reg, anchor, start, u",
+        # free, the Box coordinate solves to 2 > 1; the L1 one to -0.5, against its sign
+        [(UNIT_BOX, 2.0, 0.5, 1.0), (L1(1.0), 0.5, 0.3, 0.0)],
+        ids=["box", "l1"],
+    )
+    def test_pin(self, monkeypatch, reg, anchor, start, u):
+        sol, moves = self.oracle(monkeypatch, make_qp(anchor=[anchor], regularizer=reg), start_answer([start]))
+        assert moves == 1 and sol.u.tolist() == [u]
+
+
+    def test_free_at_the_l1_kink(self, monkeypatch):
+        # rho*w - l exceeds the weight by |l| = 2.3e-208, which rounds away in the
+        # solver's prox point u = 0; the exact optimum is u = -l
+        qp = make_qp(anchor=[1.0], linear=[-2.26676693e-208], regularizer=L1(1.0), offsets=[0.0], slopes=[[0.0]])
+        start = solve_canonical_qp(qp)
+        assert start.u.tolist() == [0.0]
+        sol, moves = self.oracle(monkeypatch, qp, start)
+        assert moves == 1 and sol.u.tolist() == [2.26676693e-208]
+
+    def test_drop_from_near_concurrent_hinges(self, monkeypatch):
+        # hinges 0, 2 and 3 meet at u = 1, v = 1.5 in decimals but not in the
+        # floats' exact values, so the three cannot all hold with d = 1
+        qp = make_qp(rho=0.6404909309854694, anchor=[1.4], linear=[0.7], regularizer=L1(1.7), gamma=5.0,
+                     offsets=[2.2, 0.2, 1.1, 1.0], slopes=[[-0.7], [-0.7], [0.4], [0.5]])
+        start = solve_canonical_qp(qp)
+        assert start.converged and start.active_set == (0, 2, 3)
+        sol, moves = self.oracle(monkeypatch, qp, start)
+        assert moves == 1 and sol.active_set == (0, 2)
+        np.testing.assert_allclose(sol.u, start.u, rtol=0, atol=1e-12)
+
+    def test_release_v_for_each_working_set(self, monkeypatch):
+        # a tiny-rho QP (d = 1) whose solver answer holds hinges 1 and 2 at v = 0, which
+        # no u satisfies; the optimum holds hinges 0 and 1 where they cross, at v > 0, so
+        # v must be released again for {0, 1} after it was released once for {1, 2}
+        qp = make_qp(rho=2.6341708612051623e-10, anchor=[-1.5938475619010517], linear=[2.1140064665887066],
+                     gamma=6.483467139783446, offsets=[1.1715730473168446, 0.8124516754058155, -0.9235657101584799],
+                     slopes=[[0.7981505678124544], [-2.3685029302561342], [-0.5858829732566452]])
+        start = solve_canonical_qp(qp)
+        assert start.active_set == (1, 2) and start.v == 0.0 and start.converged is False
+        sol, moves = self.oracle(monkeypatch, qp, start)
+        assert moves == 7 and sol.active_set == (0, 1) and sol.v > 1.0
+        np.testing.assert_allclose(sol.u, [(qp.offsets[1] - qp.offsets[0]) / (qp.slopes[0, 0] - qp.slopes[1, 0])],
+                                   rtol=1e-15)
 
 
 class TestStartRule:
@@ -695,7 +748,7 @@ class TestZeroDualProxPoint:
                      offsets=[-10.0, -3.0], slopes=[[1.0, -1.0], [2.0, -0.5]])
         sol = solve_canonical_qp(qp)
         assert sol.active_set == () and sol.converged
-        assert sol.u.tobytes() == _primal_from_dual(qp, np.zeros(qp.m)).tobytes()
+        assert sol.u.tobytes() == zero_dual_prox_point(qp).tobytes()
         if isinstance(reg, Zero):
             assert np.signbit(sol.u[1])
 
@@ -916,7 +969,7 @@ def assert_loop_certifies(qp, tol=1e-9, warm=None):
     # |gap| is rounding-level (below 1e-13 on every drawn QP); rounding can make it slightly negative
     assert abs(duality_gap(qp, sol.u, sol.mu)) <= tol * (1.0 + abs(sol.objective))
     if qp.dim <= 6 and qp.m <= 6:
-        # objectives, not u: the oracle's u is wrong on some small-rho degenerate QPs
+        # the oracle's optimum is exact, so only rounding may put the solver's objective below it
         ref = dense_oracle_qp(qp)
         assert sol.objective <= ref.objective + 1e-9 * (1.0 + abs(ref.objective))
     return sol
@@ -962,7 +1015,7 @@ class TestActiveSetProperties:
     def test_small_gamma_forces_positive_epigraph(self, qp):
         # shift the offsets so that the hinge stays >= 1 wherever the duals in
         # the capped simplex can move u (||u - u0|| <= Gamma ||A|| / rho)
-        u0 = _primal_from_dual(qp, np.zeros(qp.m))
+        u0 = zero_dual_prox_point(qp)
         norm_sq = float(np.sum(qp.slopes**2))
         shift = 1.0 + qp.hinge_weight * norm_sq / qp.rho - float((qp.offsets + qp.slopes @ u0).max())
         sol = assert_loop_certifies(dataclasses.replace(qp, offsets=qp.offsets + max(shift, 0.0)))
